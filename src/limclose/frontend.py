@@ -20,24 +20,25 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .polycore import (
-    Polynomial, GREVLEX, LEX, catalan,
-    catalan_truncated_generating_poly, mod_monomial_power,
+    Polynomial, GREVLEX, LEX, catalan_truncated_generating_poly,
+    mod_monomial_power,
 )
 from .idealops import (
-    Ideal, ideal_intersect, ideal_colon, ideal_colon_ideal, ideal_saturate,
-    eliminate, contract, RingMapPresentation,
+    Ideal, ideal_intersect, ideal_colon_ideal, ideal_saturate, eliminate,
+    contract, colon_by_product, RingMapPresentation,
 )
 from .localring import (
     LocalRingContext, LocalOptions, SequenceInR, local_length, local_dim,
-    is_sop,
+    local_equal, is_sop,
 )
 from .limitclosure import (
-    colon_step, colon_by_product, limit_closure, limit_closure_mixed,
-    MixedClosureSpec, monomial_property, DEFAULT_N_MAX,
+    colon_step, limit_closure, limit_closure_mixed, MixedClosureSpec,
+    monomial_property, DEFAULT_N_MAX,
 )
 from .structure import (
     unmixed_component, dimension_filtration, _filtration_candidate,
     is_good_sop, ij_functions, topology_scan, multiplicity,
+    DEFAULT_INTERSECT_N,
 )
 from .detmaps import express_in_terms, detmap_injective
 
@@ -122,31 +123,6 @@ def _tokenize(text):
 # parser
 # ---------------------------------------------------------------------------
 
-COMMANDS = {
-    # name: (min_args, max_args)
-    "gb": (2, 2),
-    "dim": (1, 2),
-    "length": (2, 2),
-    "mult": (2, 2),
-    "colon": (3, 3),
-    "intersect": (3, 3),
-    "saturate": (3, 3),
-    "eliminate": (3, None),
-    "contract": (2, 2),
-    "limclose": (2, 3),
-    "limclose-mixed": (5, 5),
-    "monomial-check": (2, 2),
-    "unmixed": (2, 2),
-    "dimfilt": (2, 2),
-    "goodsop": (2, 2),
-    "ij": (2, 3),
-    "topo": (2, 4),
-    "detmap": (3, 3),
-    "sopcheck": (2, 2),
-    "catalan-demo": (0, 1),
-}
-
-
 @dataclass
 class Statement:
     kind: str       # ring | seq | ideal | map | show
@@ -161,7 +137,6 @@ class Session:
     statements: list
     text: str
     bindings: dict = field(default_factory=dict)   # name -> evaluated value
-    results: list = field(default_factory=list)    # command log
 
 
 class _Parser:
@@ -358,11 +333,12 @@ class _Parser:
             args = self.expr_list(")")
         self.expect(")")
         self.expect(";")
-        lo, hi = COMMANDS[cmd]
+        lo, hi = _arity(COMMANDS[cmd][0])
         if len(args) < lo or (hi is not None and len(args) > hi):
-            self.err(f"command {cmd!r} takes {lo}"
-                     + (f"..{hi}" if hi != lo else "")
-                     + f" arguments, got {len(args)}", start)
+            span = (f"at least {lo}" if hi is None
+                    else f"{lo}..{hi}" if hi != lo else str(lo))
+            self.err(f"command {cmd!r} takes {span} arguments, got {len(args)}",
+                     start)
         return Statement("show", cmd, {"args": args}, start.line, start.col)
 
 
@@ -374,15 +350,13 @@ def parse_session(text):
     declared = set()
     while p.peek().kind != "eof":
         st = p.statement()
+        # bare-name show arguments may be bindings or ring variables; they
+        # are resolved at run time against the ordered scope
         if st.kind != "show":
             if st.name in declared:
                 raise SessionParseError(
                     f"duplicate binding {st.name!r}", st.line, st.col)
             declared.add(st.name)
-        elif st.kind == "show":
-            # bare-name arguments may be bindings or ring variables; binding
-            # references are resolved at run time against the ordered scope
-            pass
         statements.append(st)
     return Session(statements=statements, text=text)
 
@@ -398,7 +372,6 @@ class Config:
     trunc_max: int = 64
     stab_window: int = 2
     seed: int = 0
-    timeout_secs: int | None = None
 
 
 @dataclass
@@ -412,13 +385,6 @@ class CommandResult:
     warnings: list = field(default_factory=list)
     elapsed: float = 0.0
     command: str = ""
-
-
-@dataclass
-class _RingBinding:
-    name: str
-    ctx: LocalRingContext
-    field_spec: tuple
 
 
 def _eval_poly(node, vars, where):
@@ -453,206 +419,196 @@ def _as_int(node, where):
     raise SessionRunError(f"{where}: expected an integer argument")
 
 
-def _binding(session, node, where):
-    if node[0] == "var" and node[1] in session.bindings:
-        return session.bindings[node[1]]
-    return None
+def _arity(kinds):
+    """(least, most) argument count for a kind list; most is None when the
+    last kind repeats."""
+    fixed = [k for k in kinds if k != "*"]
+    least = sum(not k.endswith("?") for k in fixed)
+    return least, None if kinds[-1:] == ("*",) else len(fixed)
 
 
-def _ring_arg(session, node, where):
-    b = _binding(session, node, where)
-    if not isinstance(b, _RingBinding):
-        raise SessionRunError(f"{where}: expected a ring name")
-    return b
-
-
-def _seq_arg(session, node, ring, where):
-    b = _binding(session, node, where)
-    if b is None or not (isinstance(b, dict) and b.get("kind") == "seq"):
-        raise SessionRunError(f"{where}: expected a sequence name")
-    entries = [_eval_poly(e, ring.ctx.vars, where) for e in b["exprs"]]
-    return SequenceInR(entries, ring.ctx)
-
-
-def _ideal_arg(session, node, ring, where):
-    b = _binding(session, node, where)
-    if isinstance(b, dict) and b.get("kind") == "ideal":
-        gens = [_eval_poly(e, ring.ctx.vars, where) for e in b["exprs"]]
-        return Ideal(ring.ctx.vars, gens)
-    if isinstance(b, dict) and b.get("kind") == "seq":
-        gens = [_eval_poly(e, ring.ctx.vars, where) for e in b["exprs"]]
-        return Ideal(ring.ctx.vars, gens)
-    # inline polynomial: principal ideal
-    return Ideal(ring.ctx.vars, [_eval_poly(node, ring.ctx.vars, where)])
-
-
-def _poly_arg(session, node, ring, where):
-    return _eval_poly(node, ring.ctx.vars, where)
-
-
-def _ideal_result(kind, ideal, ctx=None, stab=None, warnings=()):
-    I = ctx.adjoin(ideal) if ctx is not None else ideal
-    gens = [str(g) for g in I.reduced_gens()]
-    return CommandResult(kind=kind, generators=gens or ["0"],
-                         stabilization_index=stab, warnings=list(warnings))
+def _evaluate(cmd, args, session, where):
+    """Argument values of a show statement, by the kinds its command declares.
+    The first ring or map argument fixes the ring later arguments are read in.
+    """
+    kinds = [k.rstrip("?") for k in COMMANDS[cmd][0] if k != "*"]
+    ctx = None
+    values = []
+    for i, node in enumerate(args):
+        kind = kinds[min(i, len(kinds) - 1)]
+        b = session.bindings.get(node[1]) if node[0] == "var" else None
+        bound = b["kind"] if isinstance(b, dict) else None
+        if kind == "ring":
+            if not isinstance(b, LocalRingContext):
+                raise SessionRunError(f"{where}: expected a ring name")
+            value = ctx = b
+        elif kind == "map":
+            if bound != "map":
+                raise SessionRunError(f"{where}: expected a map name")
+            value, ctx = b["map"], b["target_ring"]
+        elif kind == "seq":
+            if bound != "seq":
+                raise SessionRunError(f"{where}: expected a sequence name")
+            value = SequenceInR(
+                [_eval_poly(e, ctx.vars, where) for e in b["exprs"]], ctx)
+        elif kind == "ideal":
+            # a sequence or ideal name, else an inline principal generator
+            exprs = b["exprs"] if bound in ("seq", "ideal") else [node]
+            value = Ideal(ctx.vars, [_eval_poly(e, ctx.vars, where)
+                                     for e in exprs])
+        elif kind == "poly":
+            value = _eval_poly(node, ctx.vars, where)
+        elif kind == "int":
+            value = _as_int(node, where)
+        else:  # var
+            if node[0] != "var":
+                raise SessionRunError(f"{where}: {cmd} takes variable names")
+            value = node[1]
+        values.append(value)
+    return values
 
 
 def run_command(stmt, session, config):
     """Evaluate one show-statement against the session bindings."""
     where = f"line {stmt.line}"
     cmd = stmt.name
-    args = stmt.payload["args"]
     t0 = time.monotonic()
     try:
-        result = _dispatch(cmd, args, session, config, where)
+        values = _evaluate(cmd, stmt.payload["args"], session, where)
+        result = COMMANDS[cmd][1](config, *values)
     except (SessionRunError, SessionParseError, TimeoutError):
         raise
     except Exception as exc:
         raise SessionRunError(f"{where}: {cmd}: {exc}") from exc
     result.elapsed = time.monotonic() - t0
     result.command = cmd
-    session.results.append(result)
     return result
 
 
-def _dispatch(cmd, args, session, config, where):
+# -- command handlers: handler(config, *argument values) -> CommandResult ----
+
+def _ideal_result(ideal, stab=None):
+    gens = [str(g) for g in ideal.reduced_gens()]
+    return CommandResult(kind="ideal", generators=gens or ["0"],
+                         stabilization_index=stab)
+
+
+def _gb(config, ctx, I):
     order = LEX if config.order == "lex" else GREVLEX
-    n_max = config.n_max
-
-    if cmd == "catalan-demo":
-        n = _as_int(args[0], where) if args else 4
-        return _catalan_demo(n)
-
-    if cmd == "contract":
-        b = _binding(session, args[0], where)
-        if not (isinstance(b, dict) and b.get("kind") == "map"):
-            raise SessionRunError(f"{where}: expected a map name")
-        rmap = b["map"]
-        I = _ideal_arg(session, args[1], b["target_ring"], where)
-        return _ideal_result("ideal", contract(rmap, I))
-
-    ring = _ring_arg(session, args[0], where)
-    ctx = ring.ctx
-
-    if cmd == "gb":
-        I = _ideal_arg(session, args[1], ring, where)
-        gens = ctx.adjoin(I).groebner(order).generators
-        return CommandResult(kind="ideal",
-                             generators=[str(g) for g in gens] or ["0"])
-    if cmd == "dim":
-        I = _ideal_arg(session, args[1], ring, where) if len(args) > 1 \
-            else ctx.zero_ideal()
-        return CommandResult(kind="integer", value=local_dim(I, ctx))
-    if cmd == "length":
-        I = _ideal_arg(session, args[1], ring, where)
-        return CommandResult(kind="integer", value=local_length(I, ctx))
-    if cmd == "mult":
-        s = _seq_arg(session, args[1], ring, where)
-        return CommandResult(kind="integer", value=multiplicity(s))
-    if cmd == "colon":
-        I = _ideal_arg(session, args[1], ring, where)
-        J = _ideal_arg(session, args[2], ring, where)
-        return _ideal_result("ideal", ideal_colon_ideal(ctx.adjoin(I), J))
-    if cmd == "intersect":
-        I = _ideal_arg(session, args[1], ring, where)
-        J = _ideal_arg(session, args[2], ring, where)
-        return _ideal_result("ideal",
-                             ideal_intersect(ctx.adjoin(I), ctx.adjoin(J)))
-    if cmd == "saturate":
-        I = _ideal_arg(session, args[1], ring, where)
-        g = _poly_arg(session, args[2], ring, where)
-        sat, k = ideal_saturate(ctx.adjoin(I), g)
-        res = _ideal_result("ideal", sat)
-        res.stabilization_index = k
-        return res
-    if cmd == "eliminate":
-        I = _ideal_arg(session, args[1], ring, where)
-        names = []
-        for a in args[2:]:
-            if a[0] != "var":
-                raise SessionRunError(f"{where}: eliminate takes variable names")
-            names.append(a[1])
-        return _ideal_result("ideal", eliminate(ctx.adjoin(I), names))
-    if cmd == "limclose":
-        s = _seq_arg(session, args[1], ring, where)
-        if len(args) > 2:
-            n = _as_int(args[2], where)
-            return _ideal_result("ideal", colon_step(s, n))
-        res = limit_closure(s, n_max=n_max, window=config.stab_window)
-        out = _ideal_result("ideal", res.closure)
-        out.stabilization_index = res.stabilization_index
-        return out
-    if cmd == "limclose-mixed":
-        head = _seq_arg(session, args[1], ring, where)
-        npow = _as_int(args[2], where)
-        tail = _seq_arg(session, args[3], ring, where)
-        mpow = _as_int(args[4], where)
-        spec = MixedClosureSpec(head, npow, tail, mpow)
-        return _ideal_result("ideal", limit_closure_mixed(spec, n_max=n_max))
-    if cmd == "monomial-check":
-        s = _seq_arg(session, args[1], ring, where)
-        return CommandResult(kind="verdict",
-                             verdict=monomial_property(s, n_max=n_max))
-    if cmd == "unmixed":
-        s = _seq_arg(session, args[1], ring, where)
-        res = unmixed_component(ctx, s)
-        out = _ideal_result("ideal", res.component)
-        out.stabilization_index = res.intersection_depth
-        return out
-    if cmd == "dimfilt":
-        s = _seq_arg(session, args[1], ring, where)
-        filt = dimension_filtration(ctx, s, seed=config.seed)
-        rows = [[str(d), ", ".join(str(g) for g in D.reduced_gens()) or "0"]
-                for D, d in zip(filt.chain, filt.dims)]
-        warnings = [] if filt.goodness_verified else ["goodness not verified"]
-        return CommandResult(kind="table",
-                             tables={"columns": ["dim", "generators"],
-                                     "rows": rows},
-                             verdict=filt.goodness_verified, warnings=warnings)
-    if cmd == "goodsop":
-        s = _seq_arg(session, args[1], ring, where)
-        filt = _filtration_candidate(ctx, s, 8)
-        return CommandResult(kind="verdict", verdict=is_good_sop(s, filt))
-    if cmd == "ij":
-        s = _seq_arg(session, args[1], ring, where)
-        nm = _as_int(args[2], where) if len(args) > 2 else 4
-        table = ij_functions(s, n_max=nm)
-        rows = [[str(c) for c in row] for row in table.rows]
-        return CommandResult(
-            kind="table",
-            tables={"columns": ["n", "length", "e*n^d", "closure-length",
-                                "I", "J"],
-                    "rows": rows},
-            value=table.multiplicity)
-    if cmd == "topo":
-        s = _seq_arg(session, args[1], ring, where)
-        n0 = _as_int(args[2], where) if len(args) > 2 else 4
-        vmax = _as_int(args[3], where) if len(args) > 3 else 8
-        rep = topology_scan(s, n0=n0, v_max=vmax)
-        rows = [[str(k), str(v) if v is not None else "-"] for k, v in rep.rows]
-        warnings = []
-        if not rep.success:
-            warnings.append(f"failure at k={rep.failure_k}, witness {rep.witness}")
-        return CommandResult(kind="table",
-                             tables={"columns": ["k", "least v"], "rows": rows},
-                             verdict=rep.success, warnings=warnings)
-    if cmd == "detmap":
-        sx = _seq_arg(session, args[1], ring, where)
-        sy = _seq_arg(session, args[2], ring, where)
-        problem = express_in_terms(sy, sx)
-        inj = detmap_injective(problem, n_max=n_max)
-        rows = [[str(a) for a in row] for row in problem.matrix]
-        cols = [f"a{j + 1}" for j in range(len(sx))]
-        return CommandResult(kind="table",
-                             tables={"columns": cols, "rows": rows},
-                             verdict=inj, value=str(problem.det))
-    if cmd == "sopcheck":
-        s = _seq_arg(session, args[1], ring, where)
-        return CommandResult(kind="verdict", verdict=is_sop(s))
-    raise SessionRunError(f"{where}: unknown command {cmd!r}")
+    gens = ctx.adjoin(I).groebner(order).generators
+    return CommandResult(kind="ideal",
+                         generators=[str(g) for g in gens] or ["0"])
 
 
-def _catalan_demo(n_max):
+def _dim(config, ctx, I=None):
+    I = ctx.zero_ideal() if I is None else I
+    return CommandResult(kind="integer", value=local_dim(I, ctx))
+
+
+def _length(config, ctx, I):
+    return CommandResult(kind="integer", value=local_length(I, ctx))
+
+
+def _mult(config, ctx, s):
+    return CommandResult(kind="integer", value=multiplicity(s))
+
+
+def _colon(config, ctx, I, J):
+    return _ideal_result(ideal_colon_ideal(ctx.adjoin(I), J))
+
+
+def _intersect(config, ctx, I, J):
+    return _ideal_result(ideal_intersect(ctx.adjoin(I), ctx.adjoin(J)))
+
+
+def _saturate(config, ctx, I, g):
+    sat, k = ideal_saturate(ctx.adjoin(I), g)
+    return _ideal_result(sat, k)
+
+
+def _eliminate(config, ctx, I, *names):
+    return _ideal_result(eliminate(ctx.adjoin(I), names))
+
+
+def _contract(config, rmap, I):
+    return _ideal_result(contract(rmap, I))
+
+
+def _limclose(config, ctx, s, n=None):
+    if n is not None:
+        return _ideal_result(colon_step(s, n))
+    res = limit_closure(s, n_max=config.n_max, window=config.stab_window)
+    return _ideal_result(res.closure, res.stabilization_index)
+
+
+def _limclose_mixed(config, ctx, head, npow, tail, mpow):
+    spec = MixedClosureSpec(head, npow, tail, mpow)
+    return _ideal_result(limit_closure_mixed(spec, n_max=config.n_max))
+
+
+def _monomial_check(config, ctx, s):
+    return CommandResult(kind="verdict",
+                         verdict=monomial_property(s, n_max=config.n_max))
+
+
+def _unmixed(config, ctx, s):
+    res = unmixed_component(ctx, s)
+    return _ideal_result(res.component, res.intersection_depth)
+
+
+def _dimfilt(config, ctx, s):
+    filt = dimension_filtration(ctx, s, seed=config.seed)
+    rows = [[str(d), ", ".join(str(g) for g in D.reduced_gens()) or "0"]
+            for D, d in zip(filt.chain, filt.dims)]
+    warnings = [] if filt.goodness_verified else ["goodness not verified"]
+    return CommandResult(kind="table",
+                         tables={"columns": ["dim", "generators"],
+                                 "rows": rows},
+                         verdict=filt.goodness_verified, warnings=warnings)
+
+
+def _goodsop(config, ctx, s):
+    filt = _filtration_candidate(ctx, s, DEFAULT_INTERSECT_N)
+    return CommandResult(kind="verdict", verdict=is_good_sop(s, filt))
+
+
+def _ij(config, ctx, s, n_max=4):
+    table = ij_functions(s, n_max=n_max)
+    rows = [[str(c) for c in row] for row in table.rows]
+    return CommandResult(
+        kind="table",
+        tables={"columns": ["n", "length", "e*n^d", "closure-length",
+                            "I", "J"],
+                "rows": rows},
+        value=table.multiplicity)
+
+
+def _topo(config, ctx, s, n0=4, v_max=8):
+    rep = topology_scan(s, n0=n0, v_max=v_max)
+    rows = [[str(k), str(v) if v is not None else "-"] for k, v in rep.rows]
+    warnings = []
+    if not rep.success:
+        warnings.append(f"failure at k={rep.failure_k}, witness {rep.witness}")
+    return CommandResult(kind="table",
+                         tables={"columns": ["k", "least v"], "rows": rows},
+                         verdict=rep.success, warnings=warnings)
+
+
+def _detmap(config, ctx, sx, sy):
+    problem = express_in_terms(sy, sx)
+    inj = detmap_injective(problem, n_max=config.n_max)
+    rows = [[str(a) for a in row] for row in problem.matrix]
+    cols = [f"a{j + 1}" for j in range(len(sx))]
+    return CommandResult(kind="table",
+                         tables={"columns": cols, "rows": rows},
+                         verdict=inj, value=str(problem.det))
+
+
+def _sopcheck(config, ctx, s):
+    return CommandResult(kind="verdict", verdict=is_sop(s))
+
+
+def _catalan_demo(config, n_max=4):
     """End-to-end battery on the worked quadric example: the colon table,
     its closed-form generator, and the truncated generating-function
     identity."""
@@ -668,7 +624,6 @@ def _catalan_demo(n_max):
         colon = colon_by_product(powered, [y ** n, u ** n, v ** n])
         a_n = x - y * v * catalan_truncated_generating_poly("u", "v", n - 1, V)
         expected = ctx.adjoin(Ideal(V, [y ** n, u ** n, v ** n, a_n]))
-        from .localring import local_equal
         match = local_equal(colon, expected, ctx)
         ok_all = ok_all and match
         rows.append([str(n), str(a_n), "ok" if match else "MISMATCH"])
@@ -686,6 +641,33 @@ def _catalan_demo(n_max):
                          tables={"columns": ["n", "a_n", "colon row"],
                                  "rows": rows},
                          verdict=verdict, warnings=warnings)
+
+
+COMMANDS = {
+    # name: (argument kinds, handler).  Kinds: ring, map, seq, ideal, poly,
+    # int, var; "?" marks an optional argument, and a final "*" repeats the
+    # kind before it.
+    "gb": (("ring", "ideal"), _gb),
+    "dim": (("ring", "ideal?"), _dim),
+    "length": (("ring", "ideal"), _length),
+    "mult": (("ring", "seq"), _mult),
+    "colon": (("ring", "ideal", "ideal"), _colon),
+    "intersect": (("ring", "ideal", "ideal"), _intersect),
+    "saturate": (("ring", "ideal", "poly"), _saturate),
+    "eliminate": (("ring", "ideal", "var", "*"), _eliminate),
+    "contract": (("map", "ideal"), _contract),
+    "limclose": (("ring", "seq", "int?"), _limclose),
+    "limclose-mixed": (("ring", "seq", "int", "seq", "int"), _limclose_mixed),
+    "monomial-check": (("ring", "seq"), _monomial_check),
+    "unmixed": (("ring", "seq"), _unmixed),
+    "dimfilt": (("ring", "seq"), _dimfilt),
+    "goodsop": (("ring", "seq"), _goodsop),
+    "ij": (("ring", "seq", "int?"), _ij),
+    "topo": (("ring", "seq", "int?", "int?"), _topo),
+    "detmap": (("ring", "seq", "seq"), _detmap),
+    "sopcheck": (("ring", "seq"), _sopcheck),
+    "catalan-demo": (("int?",), _catalan_demo),
+}
 
 
 def run_session(session, config=None):
@@ -707,8 +689,7 @@ def run_session(session, config=None):
 
 
 def _make_ring(stmt, config):
-    field_spec = stmt.payload["field"]
-    if field_spec[0] != "QQ":
+    if stmt.payload["field"][0] != "QQ":
         raise SessionRunError(
             f"line {stmt.line}: finite-field coefficients are parsed but not "
             "supported by the exact-rational kernel; use QQ")
@@ -716,30 +697,30 @@ def _make_ring(stmt, config):
     where = f"line {stmt.line}"
     gens = [_eval_poly(e, vars, where) for e in stmt.payload["polys"]]
     opts = LocalOptions(trunc_max=config.trunc_max, window=config.stab_window)
-    ctx = LocalRingContext(vars, Ideal(vars, gens), options=opts)
-    return _RingBinding(stmt.name, ctx, field_spec)
+    return LocalRingContext(vars, Ideal(vars, gens), options=opts)
 
 
 def _make_map(stmt, session):
     where = f"line {stmt.line}"
     src = session.bindings.get(stmt.payload["source"])
     tgt = session.bindings.get(stmt.payload["target"])
-    if not isinstance(src, _RingBinding) or not isinstance(tgt, _RingBinding):
+    if not isinstance(src, LocalRingContext) \
+            or not isinstance(tgt, LocalRingContext):
         raise SessionRunError(f"{where}: map endpoints must be declared rings")
     images = {}
     for v, e in stmt.payload["images"]:
-        if v not in src.ctx.vars:
+        if v not in src.vars:
             raise SessionRunError(
                 f"{where}: {v!r} is not a variable of {stmt.payload['source']}")
-        images[v] = _eval_poly(e, tgt.ctx.vars, where)
-    missing = [v for v in src.ctx.vars if v not in images]
+        images[v] = _eval_poly(e, tgt.vars, where)
+    missing = [v for v in src.vars if v not in images]
     if missing:
         raise SessionRunError(f"{where}: no image given for {missing[0]!r}")
     rmap = RingMapPresentation(
-        source_vars=src.ctx.vars, source_ideal=src.ctx.defining,
-        target_vars=tgt.ctx.vars, target_ideal=tgt.ctx.defining,
+        source_vars=src.vars, source_ideal=src.defining,
+        target_vars=tgt.vars, target_ideal=tgt.defining,
         images=images)
-    return {"kind": "map", "map": rmap, "source_ring": src, "target_ring": tgt}
+    return {"kind": "map", "map": rmap, "target_ring": tgt}
 
 
 # ---------------------------------------------------------------------------
@@ -812,7 +793,8 @@ def main(argv=None):
         description="limit closures of parameter sequences in localized "
                     "affine rings")
     ap.add_argument("session", help="session file, or - for stdin")
-    ap.add_argument("--order", choices=["grevlex", "lex"], default="grevlex")
+    ap.add_argument("--order", choices=["grevlex", "lex"], default="grevlex",
+                    help="monomial order of gb's output; applies to gb only")
     ap.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
     ap.add_argument("--trunc-max", type=int, default=64)
     ap.add_argument("--stab-window", type=int, default=2)
@@ -834,8 +816,7 @@ def main(argv=None):
             return 1
 
     config = Config(order=ns.order, n_max=ns.n_max, trunc_max=ns.trunc_max,
-                    stab_window=ns.stab_window, seed=ns.seed,
-                    timeout_secs=ns.timeout_secs)
+                    stab_window=ns.stab_window, seed=ns.seed)
 
     def on_alarm(signum, frame):
         raise TimeoutError(f"timeout after {ns.timeout_secs}s")

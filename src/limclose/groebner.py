@@ -18,10 +18,6 @@ from .polycore import (
 )
 
 
-class DegreeBoundError(ValueError):
-    """Degree-truncated basis requested or queried out of its certified range."""
-
-
 @dataclass
 class Cofactors:
     """Division certificate: input = sum(coefficients[i] * divisors[i]) + remainder."""
@@ -40,7 +36,6 @@ class GroebnerBasis:
     generators: list
     order: MonomialOrder
     reduced: bool = False
-    degree_bound: int | None = None
     # rows expressing each generator over the original input generators
     origin_cofactors: list | None = field(default=None, repr=False)
 
@@ -68,7 +63,7 @@ def normal_form(f, divisors, order, track=False):
     heap = [(negkey(m), m) for m in work]
     heapq.heapify(heap)
     remainder = {}
-    cof = [dict() for _ in divisors] if track else None
+    cof = [dict() for _ in divisors]
     while heap:
         _, m = heapq.heappop(heap)
         c = work.pop(m, None)
@@ -93,15 +88,12 @@ def normal_form(f, divisors, order, track=False):
                             heapq.heappush(heap, (negkey(me), me))
                     else:
                         work.pop(me, None)
-                if track:
-                    cof[i][q_exp] = cof[i].get(q_exp, 0) + q_coef
+                cof[i][q_exp] = cof[i].get(q_exp, 0) + q_coef
                 break
         else:
             remainder[m] = c
-    rem = Polynomial(vars, remainder)
-    if track:
-        return Cofactors(rem, [Polynomial(vars, d) for d in cof])
-    return Cofactors(rem, [])
+    return Cofactors(Polynomial(vars, remainder),
+                     [Polynomial(vars, d) for d in cof])
 
 
 def _normal_form_fraction_free(f, divisors, order):
@@ -200,20 +192,15 @@ def _s_poly_parts(gi, gj, order):
     return lcm, (mono_div(lcm, mi), cj), (mono_div(lcm, mj), ci)
 
 
-def buchberger(gens, order=GREVLEX, degree_bound=None, track=False):
+def buchberger(gens, order=GREVLEX, track=False):
     """Groebner basis of the ideal generated by `gens`.
 
-    With `degree_bound` set (degree-compatible orders only) S-pairs whose lcm
-    exceeds the bound are skipped; the result certifies normal forms of total
-    degree below the bound.
     With `track`, every basis element carries a cofactor row over the input
     generators.
     """
     gens = [g for g in gens if not g.is_zero()]
-    if degree_bound is not None and not order.degree_compatible:
-        raise DegreeBoundError("degree bound requires a degree-compatible order")
     if not gens:
-        return GroebnerBasis([], order, reduced=True, degree_bound=degree_bound,
+        return GroebnerBasis([], order, reduced=True,
                              origin_cofactors=[] if track else None)
     vars = gens[0].vars
     basis = []
@@ -235,7 +222,7 @@ def buchberger(gens, order=GREVLEX, degree_bound=None, track=False):
     pairs = []
     for i in range(len(basis)):
         for j in range(i):
-            _enqueue(pairs, basis, i, j, order, degree_bound)
+            _enqueue(pairs, basis, i, j, order)
 
     while pairs:
         deg, j, i, lcm = heapq.heappop(pairs)
@@ -270,20 +257,18 @@ def buchberger(gens, order=GREVLEX, degree_bound=None, track=False):
             add_element(r.primitive(), None)
         new_i = len(basis) - 1
         for k in range(new_i):
-            _enqueue(pairs, basis, new_i, k, order, degree_bound)
+            _enqueue(pairs, basis, new_i, k, order)
 
-    gb = GroebnerBasis(basis, order, reduced=False, degree_bound=degree_bound,
+    gb = GroebnerBasis(basis, order, reduced=False,
                        origin_cofactors=rows if track else None)
     return reduce_basis(gb)
 
 
-def _enqueue(pairs, basis, i, j, order, degree_bound):
+def _enqueue(pairs, basis, i, j, order):
     mi = basis[i].lead(order)[0]
     mj = basis[j].lead(order)[0]
     lcm = mono_lcm(mi, mj)
     deg = mono_degree(lcm)
-    if degree_bound is not None and deg > degree_bound:
-        return
     heapq.heappush(pairs, (deg, j, i, lcm))
 
 
@@ -312,7 +297,7 @@ def reduce_basis(gb):
     rows = gb.origin_cofactors
     track = rows is not None
     if not gens:
-        return GroebnerBasis([], order, reduced=True, degree_bound=gb.degree_bound,
+        return GroebnerBasis([], order, reduced=True,
                              origin_cofactors=[] if track else None)
     vars = gens[0].vars
 
@@ -368,7 +353,7 @@ def reduce_basis(gb):
                    key=lambda t: order.key(t[0].lead(order)[0]))
     reduced = [p for p, _ in pairs]
     red_rows = [r for _, r in pairs] if track else None
-    return GroebnerBasis(reduced, order, reduced=True, degree_bound=gb.degree_bound,
+    return GroebnerBasis(reduced, order, reduced=True,
                          origin_cofactors=red_rows)
 
 
@@ -378,9 +363,6 @@ def ideal_member(f, gb, original_gens=None):
     When gb carries origin cofactors and membership holds, the certificate
     expresses f over the original generators.
     """
-    if gb.degree_bound is not None and f.total_degree() >= gb.degree_bound:
-        raise DegreeBoundError(
-            f"degree {f.total_degree()} outside certified range < {gb.degree_bound}")
     if not gb.generators:
         return f.is_zero(), Cofactors(f, [])
     nf = normal_form(f, gb.generators, gb.order, track=True)

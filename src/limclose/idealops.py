@@ -134,6 +134,19 @@ def ideal_colon(I, g):
     return Ideal(I.vars, [poly_divide_exact(p, g) for p in inter.gens])
 
 
+def colon_by_product(I, factors):
+    """I : (f_1 ... f_k) as a chain of single colons: I : (gh) = (I:g):h.
+
+    Much cheaper than coloning by the expanded product when the factors are
+    simple (variable powers, single parameters)."""
+    out = I
+    for f in factors:
+        if f.is_constant():
+            continue
+        out = ideal_colon(out, f)
+    return out
+
+
 def ideal_colon_ideal(I, J):
     """I : J as the intersection of the colons by J's generators."""
     _check_same_ambient(I, J)

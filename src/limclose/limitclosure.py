@@ -12,20 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .idealops import Ideal, ideal_colon
-
-
-def colon_by_product(I, factors):
-    """I : (f_1 ... f_k) as a chain of single colons: I : (gh) = (I:g):h.
-
-    Much cheaper than coloning by the expanded product when the factors are
-    simple (variable powers, single parameters)."""
-    out = I
-    for f in factors:
-        if f.is_constant():
-            continue
-        out = ideal_colon(out, f)
-    return out
+from .idealops import Ideal, colon_by_product
 from .localring import (
     LocalRingContext, SequenceInR, local_equal, local_contains, local_member,
     is_sop, NotStabilized,

@@ -201,9 +201,6 @@ class Polynomial:
     def is_constant(self):
         return all(mono_degree(e) == 0 for e in self.terms)
 
-    def is_monomial(self):
-        return len(self.terms) == 1
-
     @property
     def constant_term(self):
         return self.terms.get((0,) * len(self.vars), 0)
@@ -213,12 +210,6 @@ class Polynomial:
         if not self.terms:
             return -1
         return max(mono_degree(e) for e in self.terms)
-
-    def degree_in(self, name):
-        i = self.vars.index(name)
-        if not self.terms:
-            return -1
-        return max(e[i] for e in self.terms)
 
     def lead(self, order):
         """(exponents, coefficient) of the leading term under `order`."""
@@ -431,14 +422,6 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({self})"
-
-
-def poly_add(p, q):
-    return p + q
-
-
-def poly_mul(p, q):
-    return p * q
 
 
 def mod_monomial_power(p, names, n):

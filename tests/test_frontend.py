@@ -1,6 +1,7 @@
 """Session language, dispatcher, renderers, and CLI exit codes."""
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -42,6 +43,8 @@ def test_parse_basic_session():
     ("ring P = QQ[x] / (x ~ y);", "unexpected character", 1, 21),
     ("show frobnicate(P);", "unknown command", 1, 1),
     ("show dim();", "takes 1..2 arguments, got 0", 1, 1),
+    ("show eliminate(P, I);", "takes at least 3 arguments, got 2", 1, 1),
+    ("show topo(P, S, 1, 2, 3);", "takes 2..4 arguments, got 5", 1, 1),
     ("ring P = RR[x] / (0);", "unknown coefficient field", 1, 10),
     ("ring P = QQ[x, x] / (0);", "duplicate variable", 1, 1),
     ("seq S = [x]", "expected ';'", 1, 12),
@@ -148,6 +151,12 @@ def split_session_results():
 def test_every_command_dispatches(split_session_results):
     ran = {r.command for _, r in split_session_results}
     assert ran == set(COMMANDS)
+
+
+def test_readme_lists_every_command():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    listed = re.search(r"Commands:([^.]*)\.", readme).group(1)
+    assert {name.strip() for name in listed.split(",")} == set(COMMANDS)
 
 
 def test_dispatch_values(split_session_results):
