@@ -8,9 +8,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .polycore import Polynomial
-from .groebner import ideal_member
-from .idealops import Ideal, poly_divide_exact
+from .polycore import Polynomial, GREVLEX
+from .groebner import buchberger, ideal_member
+from .idealops import poly_divide_exact
 from .localring import (
     SequenceInR, local_member, local_contains, is_local_unit_ideal, is_sop,
     contained_in_m_power,
@@ -115,8 +115,7 @@ def express_in_terms(y, x):
     discarded (they vanish in R)."""
     ctx = x.ctx
     gens = list(x.entries) + list(ctx.defining.gens)
-    K = Ideal(ctx.vars, gens)
-    gb = K.groebner(track=True)
+    gb = buchberger(gens, GREVLEX, track=True)
     rows = []
     for yi in y.entries:
         ok, cert = ideal_member(yi, gb)

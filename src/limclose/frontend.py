@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json as _json
 import sys
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -135,7 +134,6 @@ class Statement:
 @dataclass
 class Session:
     statements: list
-    text: str
     bindings: dict = field(default_factory=dict)   # name -> evaluated value
 
 
@@ -358,7 +356,7 @@ def parse_session(text):
                     f"duplicate binding {st.name!r}", st.line, st.col)
             declared.add(st.name)
         statements.append(st)
-    return Session(statements=statements, text=text)
+    return Session(statements=statements)
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +381,6 @@ class CommandResult:
     stabilization_index: int | None = None
     value: object = None
     warnings: list = field(default_factory=list)
-    elapsed: float = 0.0
     command: str = ""
 
 
@@ -472,7 +469,6 @@ def run_command(stmt, session, config):
     """Evaluate one show-statement against the session bindings."""
     where = f"line {stmt.line}"
     cmd = stmt.name
-    t0 = time.monotonic()
     try:
         values = _evaluate(cmd, stmt.payload["args"], session, where)
         result = COMMANDS[cmd][1](config, *values)
@@ -480,7 +476,6 @@ def run_command(stmt, session, config):
         raise
     except Exception as exc:
         raise SessionRunError(f"{where}: {cmd}: {exc}") from exc
-    result.elapsed = time.monotonic() - t0
     result.command = cmd
     return result
 
@@ -772,8 +767,6 @@ def render(result, format="text"):
             lines.append("verdict: " + ("true" if result.verdict else "false"))
         if result.value is not None:
             lines.append(f"value: {result.value}")
-    else:
-        lines.append(repr(result))
     for w in result.warnings:
         lines.append(f"warning: {w}")
     return "\n".join(lines)

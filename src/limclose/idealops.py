@@ -5,7 +5,8 @@ ring maps, Krull dimension, vector-space dimension of Artinian quotients.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass
 from itertools import combinations
 
 from .polycore import Polynomial, MonomialOrder, GREVLEX, VariableMismatch, \
@@ -22,11 +23,68 @@ class NotZeroDimensional(ValueError):
     pass
 
 
+# Retained-term budget of the process-wide basis cache: the terms of every
+# cached key plus those of its basis.
+GB_CACHE_TERM_BUDGET = 1000
+
+
+class _BasisCache:
+    """Least-recently-used map from canonical ideal keys to reduced bases,
+    bounded by the number of polynomial terms it retains."""
+
+    def __init__(self, budget):
+        self.budget = budget
+        self.terms = 0
+        self.entries = OrderedDict()    # key -> (basis, terms)
+
+    def get(self, key):
+        entry = self.entries.get(key)
+        if entry is None:
+            return None
+        self.entries.move_to_end(key)
+        return entry[0]
+
+    def put(self, key, gb, terms):
+        if terms > self.budget:     # would evict every other entry
+            return
+        self.entries[key] = (gb, terms)
+        self.terms += terms
+        while self.terms > self.budget:
+            _, (_, dropped) = self.entries.popitem(last=False)
+            self.terms -= dropped
+
+
+_GB_CACHE = _BasisCache(GB_CACHE_TERM_BUDGET)
+
+
+def _canonical_terms(p):
+    """Terms of the primitive multiple of p whose coefficient at its
+    largest exponent tuple is positive: equal for all non-zero multiples."""
+    q = p.primitive()
+    if q.terms[max(q.terms)] < 0:
+        q = -q
+    return frozenset(q.terms.items())
+
+
+def _groebner(vars, gens, order):
+    """Reduced basis of (gens) under order.  The reduced basis is unique, so
+    the cache key ignores generator order, scaling and repeats; a miss runs
+    buchberger on gens as given, and caches the basis once it returns.
+    Every caller shares the returned basis: none may mutate it."""
+    canon = frozenset(_canonical_terms(g) for g in gens)
+    key = (vars, order, canon)
+    gb = _GB_CACHE.get(key)
+    if gb is None:
+        gb = buchberger(gens, order)
+        _GB_CACHE.put(key, gb, sum(map(len, canon))
+                      + sum(len(g.terms) for g in gb.generators))
+    return gb
+
+
 @dataclass
 class Ideal:
     vars: tuple
     gens: list
-    _gb_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.vars = tuple(self.vars)
@@ -35,11 +93,8 @@ class Ideal:
             if g.vars != self.vars:
                 raise AmbientMismatch(f"{g.vars} vs {self.vars}")
 
-    def groebner(self, order=GREVLEX, track=False):
-        key = (order, track)
-        if key not in self._gb_cache:
-            self._gb_cache[key] = buchberger(self.gens, order, track=track)
-        return self._gb_cache[key]
+    def groebner(self, order=GREVLEX):
+        return _groebner(self.vars, self.gens, order)
 
     def reduced_gens(self, order=GREVLEX):
         return self.groebner(order).generators
@@ -197,7 +252,7 @@ def eliminate(I, drop_names):
     new_vars = tuple(drop_names) + tuple(keep)
     perm = tuple(new_vars.index(v) for v in I.vars)
     order = MonomialOrder.block(len(drop_names), perm=perm)
-    gb = buchberger(I.gens, order)
+    gb = _groebner(I.vars, I.gens, order)
     kept = [g for g in gb.generators if not g.involves(drop_names)]
     return Ideal(I.vars, kept)
 

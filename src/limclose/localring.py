@@ -158,6 +158,9 @@ def local_equal(I1, I2, ctx):
 
 
 def is_local_unit_ideal(I, ctx):
+    # with no generator a unit at the origin, I + J lies inside m
+    if not any(g.constant_term for g in ctx.adjoin(I).gens):
+        return False
     return local_member(ctx.one(), I, ctx)
 
 

@@ -324,10 +324,9 @@ class Polynomial:
         return self * inv
 
     def primitive(self):
-        """Integer-primitive scalar multiple with positive leading content.
-
-        Clears denominators and divides by the integer content; keeps GB
-        internals in integer arithmetic.
+        """Integer-primitive scalar multiple: clears denominators and divides
+        by the (positive) integer content, so the signs of the coefficients
+        are kept.  Keeps GB internals in integer arithmetic.
         """
         if not self.terms:
             return self

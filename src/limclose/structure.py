@@ -180,13 +180,6 @@ def _verify_small_dimension(ctx, comp, d):
                 "the closure intersection has not stabilized")
 
 
-def ann_top_cohomology(ctx, sop, **kw):
-    """Annihilator of the top Koszul-limit cohomology of R: equals the
-    unmixed component for the cyclic module R, re-verified generator by
-    generator via the annihilator-dimension criterion."""
-    return unmixed_component(ctx, sop, **kw).component
-
-
 # ---------------------------------------------------------------------------
 # dimension filtration
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+from limclose import idealops
+from limclose.groebner import buchberger
 from limclose.polycore import Polynomial, GREVLEX
 from limclose.idealops import (
     Ideal, ideal_sum, ideal_product, ideal_power, ideal_intersect,
@@ -23,11 +25,11 @@ Z = Polynomial.variable("z", VARS)
 ONE = Polynomial.constant(1, VARS)
 
 
-def rand_poly(rng, max_terms=3, max_deg=3, max_coef=4):
+def rand_poly(rng, max_terms=3, max_deg=3, max_coef=4, min_deg=0):
     terms = {}
     for _ in range(rng.randint(1, max_terms)):
         e = [0, 0, 0]
-        for _ in range(rng.randint(0, max_deg)):
+        for _ in range(rng.randint(min_deg, max_deg)):
             e[rng.randrange(3)] += 1
         c = rng.randint(-max_coef, max_coef)
         if c:
@@ -64,6 +66,47 @@ def test_power_matches_iterated_product():
         for _ in range(2):
             by_product = ideal_product(by_product, I)
         assert ideals_equal(ideal_power(I, 3), by_product)
+
+
+# -- the process-wide basis cache ---------------------------------------------
+
+def test_basis_cache_agrees_with_uncached_buchberger(monkeypatch):
+    """Shuffled, rescaled and repeated generators read back the cached basis,
+    which equals an uncached buchberger run on the same generators."""
+    rng = random.Random(5)
+    pools = [[rand_poly(rng, min_deg=1) for _ in range(rng.randint(2, 4))]
+             for _ in range(10)]
+    for gens in pools:
+        first = Ideal(VARS, gens).reduced_gens()
+        for _ in range(10):
+            shuffled = list(gens)
+            rng.shuffle(shuffled)
+            scaled = [g * rng.choice([1, -1, 2, -2, 3, -3]) for g in shuffled]
+            scaled.append(scaled[0] * -1)
+            uncached = buchberger(scaled, GREVLEX).generators
+            # the shuffles must hit the cache: the kernel is not reachable
+            with monkeypatch.context() as m:
+                m.setattr(idealops, "buchberger", None)
+                cached = Ideal(VARS, scaled).reduced_gens()
+            assert uncached == cached == first
+
+
+def test_basis_cache_keeps_each_ideal_over_its_own_variables():
+    # equal exponent tuples over different variables are different ideals
+    x = Polynomial.variable("x", ("x", "y"))
+    s = Polynomial.variable("s", ("s", "t"))
+    assert Ideal(("x", "y"), [x ** 2]).reduced_gens() == [x ** 2]
+    assert Ideal(("s", "t"), [s ** 2]).reduced_gens() == [s ** 2]
+
+
+def test_basis_cache_stays_within_its_term_budget():
+    cache = idealops._GB_CACHE
+    rng = random.Random(13)
+    for _ in range(200):
+        Ideal(VARS, [rand_poly(rng, min_deg=1) for _ in range(3)]).groebner()
+        assert cache.terms <= idealops.GB_CACHE_TERM_BUDGET
+    assert cache.terms == sum(t for _, t in cache.entries.values())
+    assert len(cache.entries) < 200    # the budget evicted some bases
 
 
 def test_intersect_known_cases():

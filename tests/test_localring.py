@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from limclose import idealops
 from limclose.polycore import Polynomial
 from limclose.idealops import Ideal
 from limclose.localring import (
@@ -94,6 +95,23 @@ def test_unit_ideal_detection(plane):
     x = plane.extras["x"]
     assert is_local_unit_ideal(Ideal(ctx.vars, [ctx.one() + x]), ctx)
     assert not is_local_unit_ideal(Ideal(ctx.vars, [x]), ctx)
+
+
+def test_unit_ideal_test_needs_no_basis_inside_m(plane, split_ring,
+                                                 monkeypatch):
+    def no_basis(*args, **kwargs):
+        raise AssertionError("buchberger ran")
+
+    for fx in (plane, split_ring):
+        ctx = fx.ctx
+        x, y = fx.extras["x"], fx.extras["y"]
+        with monkeypatch.context() as m:
+            m.setattr(idealops, "buchberger", no_basis)
+            assert not is_local_unit_ideal(ctx.zero_ideal(), ctx)
+            assert not is_local_unit_ideal(Ideal(ctx.vars, [x, y ** 2]), ctx)
+            assert not is_local_unit_ideal(fx.sop.ideal(), ctx)
+        assert is_local_unit_ideal(Ideal(ctx.vars, [ctx.one() + x]), ctx)
+        assert is_local_unit_ideal(Ideal(ctx.vars, [x, ctx.one() - y]), ctx)
 
 
 def test_local_length_matches_standard_monomials(plane):

@@ -9,7 +9,7 @@ from limclose.localring import (
     LocalRingContext, SequenceInR, local_equal, local_contains, local_length,
 )
 from limclose.structure import (
-    unmixed_component, ann_top_cohomology, dimension_filtration, is_good_sop,
+    unmixed_component, dimension_filtration, is_good_sop,
     submodule_dim, hilbert_samuel, multiplicity, ij_functions, topology_scan,
     cyclic_cover_closure_check,
 )
@@ -72,12 +72,6 @@ def test_unmixed_component_requires_sop(split_ring):
     x = split_ring.extras["x"]
     with pytest.raises(ValueError):
         unmixed_component(ctx, SequenceInR([x], ctx))
-
-
-def test_ann_top_cohomology_matches_component(split_ring):
-    ctx = split_ring.ctx
-    ann = ann_top_cohomology(ctx, split_ring.sop)
-    assert local_equal(ann, split_ring.extras["U"], ctx)
 
 
 # -- dimension filtration ----------------------------------------------------
