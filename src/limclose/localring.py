@@ -158,10 +158,10 @@ def local_equal(I1, I2, ctx):
 
 
 def is_local_unit_ideal(I, ctx):
-    # with no generator a unit at the origin, I + J lies inside m
-    if not any(g.constant_term for g in ctx.adjoin(I).gens):
-        return False
-    return local_member(ctx.one(), I, ctx)
+    """I*R is the unit ideal iff some generator of I is a unit at the
+    origin; J has none (checked by LocalRingContext), so otherwise
+    I + J lies inside m."""
+    return any(g.constant_term for g in I.gens)
 
 
 # ---------------------------------------------------------------------------

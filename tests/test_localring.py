@@ -110,8 +110,9 @@ def test_unit_ideal_test_needs_no_basis_inside_m(plane, split_ring,
             assert not is_local_unit_ideal(ctx.zero_ideal(), ctx)
             assert not is_local_unit_ideal(Ideal(ctx.vars, [x, y ** 2]), ctx)
             assert not is_local_unit_ideal(fx.sop.ideal(), ctx)
-        assert is_local_unit_ideal(Ideal(ctx.vars, [ctx.one() + x]), ctx)
-        assert is_local_unit_ideal(Ideal(ctx.vars, [x, ctx.one() - y]), ctx)
+            assert is_local_unit_ideal(Ideal(ctx.vars, [ctx.one() + x]), ctx)
+            assert is_local_unit_ideal(
+                Ideal(ctx.vars, [x, ctx.one() - y]), ctx)
 
 
 def test_local_length_matches_standard_monomials(plane):
