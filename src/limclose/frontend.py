@@ -691,7 +691,7 @@ def _make_ring(stmt, config):
     vars = stmt.payload["vars"]
     where = f"line {stmt.line}"
     gens = [_eval_poly(e, vars, where) for e in stmt.payload["polys"]]
-    opts = LocalOptions(trunc_max=config.trunc_max, window=config.stab_window)
+    opts = LocalOptions(trunc_max=config.trunc_max)
     return LocalRingContext(vars, Ideal(vars, gens), options=opts)
 
 
@@ -790,7 +790,9 @@ def main(argv=None):
                     help="monomial order of gb's output; applies to gb only")
     ap.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
     ap.add_argument("--trunc-max", type=int, default=64)
-    ap.add_argument("--stab-window", type=int, default=2)
+    ap.add_argument("--stab-window", type=int, default=2,
+                    help="chain-stabilization window of limclose; applies "
+                         "to limclose only")
     ap.add_argument("--json", action="store_true")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--timeout-secs", type=int, default=None)

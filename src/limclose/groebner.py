@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 
 from .polycore import (
     Polynomial, MonomialOrder, GREVLEX,
@@ -35,7 +36,6 @@ class Cofactors:
 class GroebnerBasis:
     generators: list
     order: MonomialOrder
-    reduced: bool = False
     # rows expressing each generator over the original input generators
     origin_cofactors: list | None = field(default=None, repr=False)
 
@@ -49,79 +49,37 @@ class GroebnerBasis:
 
 
 def normal_form(f, divisors, order, track=False):
-    """Deterministic multivariate division of f by the divisor list."""
-    if not divisors:
-        raise ValueError("empty divisor list")
-    if not track:
-        return _normal_form_fraction_free(f, divisors, order)
-    vars = f.vars
-    leads = [g.lead(order) + (g,) for g in divisors]
-    work = dict(f.terms)
-    negkey = order.negkey
-    # lazy max-heap over the working terms: stale entries (monomials no
-    # longer present in work) are skipped on pop
-    heap = [(negkey(m), m) for m in work]
-    heapq.heapify(heap)
-    remainder = {}
-    cof = [dict() for _ in divisors]
-    while heap:
-        _, m = heapq.heappop(heap)
-        c = work.pop(m, None)
-        if c is None:
-            continue
-        for i, (lm, lc, g) in enumerate(leads):
-            if mono_divides(lm, m):
-                q_exp = mono_div(m, lm)
-                q_coef = Fraction(c) / Fraction(lc) if lc != 1 else c
-                if isinstance(q_coef, Fraction) and q_coef.denominator == 1:
-                    q_coef = int(q_coef)
-                # work -= q * g   (leading term cancels by construction)
-                for e, gc in g.terms.items():
-                    if e == lm:
-                        continue
-                    me = mono_mul(e, q_exp)
-                    old = work.get(me, 0)
-                    s = old - q_coef * gc
-                    if s:
-                        work[me] = s
-                        if not old:
-                            heapq.heappush(heap, (negkey(me), me))
-                    else:
-                        work.pop(me, None)
-                cof[i][q_exp] = cof[i].get(q_exp, 0) + q_coef
-                break
-        else:
-            remainder[m] = c
-    return Cofactors(Polynomial(vars, remainder),
-                     [Polynomial(vars, d) for d in cof])
-
-
-def _normal_form_fraction_free(f, divisors, order):
-    """Division without cofactor tracking, in pure integer arithmetic.
+    """Deterministic multivariate division of f by the divisor list, in
+    integer arithmetic; with `track`, also the quotient of each divisor.
 
     The working polynomial is kept as S * (true value) for a running integer
     scale S: dividing a term by a leading coefficient that does not divide it
-    exactly rescales everything instead of introducing fractions.  The exact
-    remainder is recovered by one division per term at the end.
+    exactly rescales everything instead of introducing fractions.  Divisors
+    with fractional coefficients are replaced by their integer-primitive
+    multiples p_i = r_i * g_i, which cancel the same terms.  The quotients by
+    the p_i are collected at the same scale S; at the end each is divided by
+    S and multiplied by r_i, and the remainder is divided by S.
     """
-    from math import gcd, lcm
     vars = f.vars
-    leads = [g.lead(order) + (g,) for g in divisors]
+    given = divisors
     scale = 1
     for c in f.terms.values():
         if isinstance(c, Fraction):
             scale = lcm(scale, c.denominator)
     work = {e: int(c * scale) for e, c in f.terms.items()}
-    if any(isinstance(c, Fraction) for _, _, g in leads
-           for c in g.terms.values()):
-        # the remainder does not depend on scalar multiples of the divisors:
-        # replace fractional divisors by their integer-primitive models
-        prim = [g.primitive() for _, _, g in leads]
-        leads = [g.lead(order) + (g,) for g in prim]
+    if any(isinstance(c, Fraction)
+           for g in divisors for c in g.terms.values()):
+        divisors = [g.primitive() for g in divisors]
+    remainder = {}
+    cof = [{} if track else None for _ in divisors]
+    leads = [g.lead(order) + (g, d) for g, d in zip(divisors, cof)]
+    # every dict held at scale S: rescaled and divided together
+    scaled = [work, remainder] + (cof if track else [])
     negkey = order.negkey
+    # lazy max-heap over the working terms: stale entries (monomials no
+    # longer present in work) are skipped on pop
     heap = [(negkey(m), m) for m in work]
     heapq.heapify(heap)
-    remainder = {}
     rescales = 0
     while heap:
         _, m = heapq.heappop(heap)
@@ -131,19 +89,14 @@ def _normal_form_fraction_free(f, divisors, order):
         if rescales >= 32:
             # keep the integers small: divide out the common content
             rescales = 0
-            g0 = gcd(scale, c)
-            for val in work.values():
-                g0 = gcd(g0, val)
-            for val in remainder.values():
-                g0 = gcd(g0, val)
+            g0 = gcd(scale, c, *(v for d in scaled for v in d.values()))
             if g0 > 1:
                 scale //= g0
                 c //= g0
-                for e in work:
-                    work[e] //= g0
-                for e in remainder:
-                    remainder[e] //= g0
-        for lm, lc, g in leads:
+                for d in scaled:
+                    for e in d:
+                        d[e] //= g0
+        for lm, lc, g, quot in leads:
             if mono_divides(lm, m):
                 if lc == 1:
                     q = c
@@ -155,10 +108,9 @@ def _normal_form_fraction_free(f, divisors, order):
                         t = abs(lc // gcd(c, lc))
                         scale *= t
                         c *= t
-                        for e in work:
-                            work[e] *= t
-                        for e in remainder:
-                            remainder[e] *= t
+                        for d in scaled:
+                            for e in d:
+                                d[e] *= t
                         q = c // lc
                         rescales += 1
                 q_exp = mono_div(m, lm)
@@ -174,13 +126,30 @@ def _normal_form_fraction_free(f, divisors, order):
                             heapq.heappush(heap, (negkey(me), me))
                     else:
                         work.pop(me, None)
+                if quot is not None:
+                    quot[q_exp] = q
                 break
         else:
             remainder[m] = c
-    if scale == 1:
-        return Cofactors(Polynomial(vars, remainder), [])
-    rem = {e: Fraction(c, scale) for e, c in remainder.items()}
-    return Cofactors(Polynomial(vars, rem), [])
+    if scale != 1:
+        remainder = {e: Fraction(c, scale) for e, c in remainder.items()}
+    quotients = []
+    if track:
+        for (_, lc, _, quot), g in zip(leads, given):
+            r = Fraction(lc, scale) / g.lead(order)[1]
+            quotients.append(
+                Polynomial(vars, {e: v * r for e, v in quot.items()}))
+    return Cofactors(Polynomial(vars, remainder), quotients)
+
+
+def _row_sum(pairs, width, vars):
+    """sum(multiplier * row) over (multiplier, cofactor row) pairs: a row of
+    `width` polynomials over the input generators."""
+    out = [Polynomial.zero(vars)] * width
+    for mult, row in pairs:
+        if not mult.is_zero():
+            out = [a + mult * r for a, r in zip(out, row)]
+    return out
 
 
 def _s_poly_parts(gi, gj, order):
@@ -195,29 +164,24 @@ def _s_poly_parts(gi, gj, order):
 def buchberger(gens, order=GREVLEX, track=False):
     """Groebner basis of the ideal generated by `gens`.
 
-    With `track`, every basis element carries a cofactor row over the input
-    generators.
+    With `track`, every basis element carries a cofactor row with one entry
+    per input generator, zero generators included.
     """
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return GroebnerBasis([], order, reduced=True,
-                             origin_cofactors=[] if track else None)
-    vars = gens[0].vars
-    basis = []
-    rows = []          # cofactor rows over the original gens
     n_orig = len(gens)
-
-    def add_element(p, row):
-        basis.append(p)
-        rows.append(row)
-
+    basis = []
+    rows = []          # cofactor rows over the input gens
     for k, g in enumerate(gens):
+        if g.is_zero():
+            continue
         if track:
-            row = [Polynomial.zero(vars) for _ in range(n_orig)]
-            row[k] = Polynomial.constant(1, vars)
-            add_element(g, row)
+            basis.append(g)
+            rows.append([Polynomial.constant(int(t == k), g.vars)
+                         for t in range(n_orig)])
         else:
-            add_element(g.primitive(), None)
+            basis.append(g.primitive())
+    if not basis:
+        return GroebnerBasis([], order, origin_cofactors=[] if track else None)
+    vars = basis[0].vars
 
     pairs = []
     for i in range(len(basis)):
@@ -242,26 +206,20 @@ def buchberger(gens, order=GREVLEX, track=False):
         if r.is_zero():
             continue
         if track:
-            # r = ci*ti*gi - cj*tj*gj - sum(q_k g_k); push down to original gens
-            row = [Polynomial.zero(vars) for _ in range(n_orig)]
-            contrib = [(i, Polynomial.monomial(ti, vars, ci)),
-                       (j, Polynomial.monomial(tj, vars, -cj))]
-            contrib += [(k, -q) for k, q in enumerate(nf.coefficients)]
-            for k, mult in contrib:
-                if mult.is_zero():
-                    continue
-                for t, rk in enumerate(rows[k]):
-                    row[t] = row[t] + mult * rk
-            add_element(r, row)
+            # r = ci*ti*gi - cj*tj*gj - sum(q_k g_k); push down to input gens
+            mults = [(Polynomial.monomial(ti, vars, ci), rows[i]),
+                     (Polynomial.monomial(tj, vars, -cj), rows[j])]
+            mults += [(-q, rows[k]) for k, q in enumerate(nf.coefficients)]
+            basis.append(r)
+            rows.append(_row_sum(mults, n_orig, vars))
         else:
-            add_element(r.primitive(), None)
+            basis.append(r.primitive())
         new_i = len(basis) - 1
         for k in range(new_i):
             _enqueue(pairs, basis, new_i, k, order)
 
-    gb = GroebnerBasis(basis, order, reduced=False,
-                       origin_cofactors=rows if track else None)
-    return reduce_basis(gb)
+    return reduce_basis(
+        GroebnerBasis(basis, order, origin_cofactors=rows if track else None))
 
 
 def _enqueue(pairs, basis, i, j, order):
@@ -290,101 +248,59 @@ def _chain_criterion(basis, order, i, j, lcm):
 
 
 def reduce_basis(gb):
-    """Unique reduced Groebner basis: minimal, monic, tail-reduced,
-    sorted by leading monomial (ascending)."""
+    """Unique reduced Groebner basis of a basis of non-zero generators:
+    minimal, monic, tail-reduced, sorted by leading monomial (ascending)."""
     order = gb.order
-    gens = [g for g in gb.generators if not g.is_zero()]
+    gens = gb.generators
     rows = gb.origin_cofactors
     track = rows is not None
-    if not gens:
-        return GroebnerBasis([], order, reduced=True,
-                             origin_cofactors=[] if track else None)
-    vars = gens[0].vars
-
-    # minimalize: drop generators whose lead is divisible by another's lead
-    keep = []
     leads = [g.lead(order)[0] for g in gens]
-    for i, m in enumerate(leads):
-        dominated = False
-        for j, mj in enumerate(leads):
-            if i == j:
-                continue
-            if mono_divides(mj, m) and (mj != m or j < i):
-                dominated = True
-                break
-        if not dominated:
-            keep.append(i)
-
-    kept = [(gens[i], rows[i] if track else None) for i in keep]
-    kept.sort(key=lambda t: order.key(t[0].lead(order)[0]))
-
+    # minimalize: drop generators whose lead is divisible by another's lead
+    keep = [i for i, m in enumerate(leads)
+            if not any(mono_divides(mj, m) and (mj != m or j < i)
+                       for j, mj in enumerate(leads) if j != i)]
+    keep.sort(key=lambda i: order.key(leads[i]))
+    # tail-reduce in ascending order of the (distinct, irreducible) leads,
+    # so each remainder keeps its lead and the list stays sorted
     reduced = []
     red_rows = []
-    for idx, (g, row) in enumerate(kept):
-        others = reduced + [h for h, _ in kept[idx + 1:]]
-        if others:
-            nf = normal_form(g, others, order, track=track)
-            r = nf.remainder
-        else:
-            nf = None
-            r = g
-        if r.is_zero():
-            continue
-        lc = r.lead(order)[1]
-        inv = Fraction(1) / Fraction(lc)
+    for n, i in enumerate(keep):
+        tail = keep[n + 1:]
+        nf = normal_form(gens[i], reduced + [gens[k] for k in tail], order,
+                         track=track)
+        inv = Fraction(1) / nf.remainder.lead(order)[1]
+        reduced.append(nf.remainder * inv)
         if track:
-            new_row = [Polynomial.zero(vars) for _ in row]
-            # r = g - sum(q_k * others_k); others rows known for the reduced
-            # prefix, original rows for the tail
-            tail_rows = red_rows + [rr for _, rr in kept[idx + 1:]]
-            contribs = [(row, Polynomial.constant(1, vars))]
-            if nf is not None:
-                contribs += [(tail_rows[k], -q) for k, q in enumerate(nf.coefficients)]
-            for src_row, mult in contribs:
-                if mult.is_zero():
-                    continue
-                for t, rk in enumerate(src_row):
-                    new_row[t] = new_row[t] + mult * rk
-            new_row = [c * inv for c in new_row]
-            red_rows.append(new_row)
-        reduced.append(r * inv)
-
-    pairs = sorted(zip(reduced, red_rows if track else [None] * len(reduced)),
-                   key=lambda t: order.key(t[0].lead(order)[0]))
-    reduced = [p for p, _ in pairs]
-    red_rows = [r for _, r in pairs] if track else None
-    return GroebnerBasis(reduced, order, reduced=True,
-                         origin_cofactors=red_rows)
+            # r = g - sum(q_k * others_k): rows of the reduced prefix are
+            # known, the tail still has its input rows
+            vars = gens[i].vars
+            others = red_rows + [rows[k] for k in tail]
+            mults = [(Polynomial.constant(inv, vars), rows[i])]
+            mults += [(q * -inv, r) for q, r in zip(nf.coefficients, others)]
+            red_rows.append(_row_sum(mults, len(rows[i]), vars))
+    return GroebnerBasis(reduced, order,
+                         origin_cofactors=red_rows if track else None)
 
 
-def ideal_member(f, gb, original_gens=None):
+def ideal_member(f, gb):
     """Membership of f in the ideal of gb; returns (bool, Cofactors | None).
 
     When gb carries origin cofactors and membership holds, the certificate
-    expresses f over the original generators.
+    expresses f over the input generators; otherwise it is None.
     """
-    if not gb.generators:
-        return f.is_zero(), Cofactors(f, [])
-    nf = normal_form(f, gb.generators, gb.order, track=True)
+    rows = gb.origin_cofactors
+    nf = normal_form(f, gb.generators, gb.order, track=rows is not None)
     if not nf.remainder.is_zero():
         return False, None
-    if gb.origin_cofactors is None:
-        return True, nf
-    n_orig = len(gb.origin_cofactors[0]) if gb.origin_cofactors else 0
-    vars = f.vars
-    out = [Polynomial.zero(vars) for _ in range(n_orig)]
-    for q, row in zip(nf.coefficients, gb.origin_cofactors):
-        if q.is_zero():
-            continue
-        for t, rk in enumerate(row):
-            out[t] = out[t] + q * rk
-    return True, Cofactors(Polynomial.zero(vars), out)
+    if rows is None:
+        return True, None
+    width = len(rows[0]) if rows else 0
+    return True, Cofactors(nf.remainder,
+                           _row_sum(zip(nf.coefficients, rows), width, f.vars))
 
 
 def ideal_equal(gb1, gb2):
     """Equality of the generated ideals via reduced-basis identity."""
     if gb1.order != gb2.order:
         raise ValueError("order mismatch")
-    r1 = gb1 if gb1.reduced else reduce_basis(gb1)
-    r2 = gb2 if gb2.reduced else reduce_basis(gb2)
-    return [g.terms for g in r1.generators] == [g.terms for g in r2.generators]
+    return [g.terms for g in gb1.generators] == [g.terms for g in gb2.generators]

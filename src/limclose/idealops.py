@@ -11,8 +11,7 @@ from itertools import combinations
 
 from .polycore import Polynomial, MonomialOrder, GREVLEX, VariableMismatch, \
     mono_divides
-from .groebner import buchberger, reduce_basis, normal_form, ideal_member, \
-    ideal_equal, GroebnerBasis
+from .groebner import buchberger, normal_form, ideal_member, ideal_equal
 
 
 class AmbientMismatch(ValueError):
@@ -100,10 +99,7 @@ class Ideal:
         return self.groebner(order).generators
 
     def contains_poly(self, f, order=GREVLEX):
-        gb = self.groebner(order)
-        if not gb.generators:
-            return f.is_zero()
-        return normal_form(f, gb.generators, order).remainder.is_zero()
+        return ideal_member(f, self.groebner(order))[0]
 
     def is_unit_ideal(self):
         gens = self.reduced_gens()

@@ -32,7 +32,6 @@ class NotMPrimary(ValueError):
 class LocalOptions:
     trunc_start: int = 4
     trunc_max: int = 64
-    window: int = 2
     dim_points: int = 9
 
 
@@ -192,7 +191,14 @@ def _is_origin_only(K, ctx):
 
 def local_length(I, ctx):
     """Length of R/I*R; raises NotMPrimary when the truncated dimensions do
-    not stabilize within the configured cap."""
+    not stabilize within the configured cap.
+
+    The table N -> dim R/(I*R + m^[N]) is read at N, 2N, 4N, ... and one
+    repeated value settles it: equal dimensions at N and 2N mean
+    m^[N] lies in I*R + m^[2N], inside I*R + m * m^[N] since
+    m^[2N] lies in m * m^[N]; by Nakayama m^[N] lies in I*R, so the value
+    is the length.
+    """
     K = ctx.adjoin(I)
     if is_local_unit_ideal(I, ctx):
         return 0
@@ -202,15 +208,10 @@ def local_length(I, ctx):
     opts = ctx.options
     N = opts.trunc_start
     prev = None
-    streak = 0
     while N <= opts.trunc_max:
         val = truncated_quotient_dim(I, ctx, N)
         if val == prev:
-            streak += 1
-            if streak >= opts.window - 1:
-                return val
-        else:
-            streak = 0
+            return val
         prev = val
         N *= 2
     raise NotMPrimary(
@@ -270,27 +271,17 @@ def _growth_degree(vals, tail=3, max_period=4):
 
 
 def is_sop(seq):
-    """True iff the sequence has length dim R and cuts the dimension to 0."""
+    """True iff the sequence has length dim R, is locally proper, and cuts
+    the dimension to 0: its local length is finite."""
     ctx = seq.ctx
-    if len(seq) != ctx.dim:
-        return False
     I = seq.ideal()
-    if is_local_unit_ideal(I, ctx):
+    if len(seq) != ctx.dim or is_local_unit_ideal(I, ctx):
         return False
-    K = ctx.adjoin(I)
-    if _is_origin_only(K, ctx):
-        return True
-    # dimension-zero test: stabilization of the truncation table
-    opts = ctx.options
-    N = opts.trunc_start
-    prev = None
-    while N <= opts.trunc_max:
-        val = truncated_quotient_dim(I, ctx, N)
-        if val == prev:
-            return True
-        prev = val
-        N *= 2
-    return False
+    try:
+        local_length(I, ctx)
+    except NotMPrimary:
+        return False
+    return True
 
 
 def contained_in_m_power(I, k, ctx):

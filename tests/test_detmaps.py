@@ -95,6 +95,18 @@ def test_express_in_terms_recovers_a_valid_matrix(plane):
                          SequenceInR([x ** 2], ctx))   # x not in (x^2)
 
 
+def test_express_in_terms_with_a_zero_entry():
+    """A zero entry of x keeps its column: the tracked rows have one entry
+    per generator of (x) + J, zero generators included."""
+    V = ("x", "y")
+    x, y = (Polynomial.variable(v, V) for v in V)
+    ctx = LocalRingContext(V, Ideal(V, [x * y]))
+    X = SequenceInR([ctx.zero_poly(), y], ctx)
+    prob = express_in_terms(SequenceInR([y ** 2, y], ctx), X)
+    assert [[str(a) for a in row] for row in prob.matrix] == \
+        [["0", "y"], ["0", "1"]]
+
+
 def _perturb(problem, rng):
     """A different valid matrix for the same (x, y): add Koszul syzygies
     c*x_j to row i at column k and subtract c*x_k at column j."""

@@ -1,12 +1,13 @@
 """Buchberger kernel: canonicity, division certificates, membership."""
 
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from limclose.polycore import Polynomial, GREVLEX
 from limclose.groebner import (
-    buchberger, reduce_basis, normal_form, ideal_member, ideal_equal,
+    buchberger, normal_form, ideal_member, ideal_equal,
 )
 
 from oracles import member_oracle
@@ -58,14 +59,37 @@ def test_reduced_basis_properties():
 
 
 def test_cofactor_identity_on_division():
+    """Tracked division recombines to f and leaves the untracked remainder,
+    also for divisors scaled by non-integer rationals (replaced by their
+    primitive multiples) and for leading coefficients that do not divide the
+    terms they reduce (the working polynomial is rescaled)."""
     rng = random.Random(11)
-    for _ in range(50):
+    for trial in range(150):
         divisors = [p for p in rand_ideal(rng) if not p.is_zero()]
         if not divisors:
             continue
+        if trial % 3 == 1:
+            divisors = [g * Fraction(rng.choice([-2, 1, 3]), rng.choice([5, 7]))
+                        for g in divisors]
+        elif trial % 3 == 2:
+            # lead coefficient 6, 7 or -9, lead monomial unchanged
+            divisors = [g + Polynomial.monomial(lm, VARS,
+                                                rng.choice([6, 7, -9]) - lc)
+                        for g in divisors for lm, lc in [g.lead(GREVLEX)]]
         f = rand_poly(rng, max_terms=5)
+        if trial % 2:
+            f = f * Fraction(1, 3)
         nf = normal_form(f, divisors, GREVLEX, track=True)
         assert nf.recombine(divisors).terms == f.terms
+        assert nf.remainder.terms == \
+            normal_form(f, divisors, GREVLEX).remainder.terms
+    # x^40 mod (7x - 3y) * 2/5 is (3y/7)^40: forty rescales, more than the
+    # loop takes before it looks for common content to divide out
+    x, y = (Polynomial.variable(v, VARS) for v in "xy")
+    g = (7 * x - 3 * y) * Fraction(2, 5)
+    nf = normal_form(x ** 40, [g], GREVLEX, track=True)
+    assert nf.remainder.terms == (y ** 40 * Fraction(3, 7) ** 40).terms
+    assert nf.recombine([g]).terms == (x ** 40).terms
 
 
 def test_membership_certificate_recombines():
