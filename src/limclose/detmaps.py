@@ -112,16 +112,19 @@ def _inv_const(p):
 def express_in_terms(y, x):
     """Recover a matrix A with y = A.x mod J from tracked membership
     cofactors in (x) + J; cofactors on the defining generators are
-    discarded (they vanish in R)."""
+    discarded (they vanish in R).  When every generator is zero the basis
+    has no rows and the certificates no coefficients: the rows are padded
+    with zeros."""
     ctx = x.ctx
     gens = list(x.entries) + list(ctx.defining.gens)
     gb = buchberger(gens, GREVLEX, track=True)
+    zeros = [ctx.zero_poly()] * len(x)
     rows = []
     for yi in y.entries:
         ok, cert = ideal_member(yi, gb)
         if not ok:
             raise ValueError(f"{yi} is not in (x) + J")
-        rows.append(list(cert.coefficients[:len(x)]))
+        rows.append((cert.coefficients + zeros)[:len(x)])
     return DetMapProblem(x=x, y=y, matrix=rows)
 
 

@@ -2,13 +2,13 @@
 
 Grammar (LL(1)):
     statement := ring-decl | seq-decl | ideal-decl | map-decl | show-stmt
-    ring-decl := "ring" NAME "=" FIELD "[" vars "]" "/" "(" polys ")" ";"
+    ring-decl := "ring" NAME "=" "QQ" "[" vars "]" "/" "(" polys ")" ";"
     seq-decl  := "seq" NAME "=" "[" exprs "]" ";"
     ideal-decl:= "ideal" NAME "=" "(" exprs ")" ";"
     map-decl  := "map" NAME "=" NAME "->" NAME "[" NAME "->" expr, ... "]" ";"
     show-stmt := "show" COMMAND "(" args ")" ";"
-with FIELD one of QQ, Fp(prime); infix polynomials over ^ * + - and
-integer literals; comments run from '#' to end of line.
+with infix polynomials over ^ * + - and integer literals; comments run
+from '#' to end of line.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .idealops import (
     contract, colon_by_product, RingMapPresentation,
 )
 from .localring import (
-    LocalRingContext, LocalOptions, SequenceInR, local_length, local_dim,
+    LocalRingContext, SequenceInR, local_length, local_dim,
     local_equal, is_sop,
 )
 from .limitclosure import (
@@ -246,14 +246,7 @@ class _Parser:
         name = self.expect_name().value
         self.expect("=")
         fld = self.expect_name()
-        if fld.value == "QQ":
-            field_spec = ("QQ",)
-        elif fld.value == "Fp":
-            self.expect("(")
-            p = self.expect_int()
-            self.expect(")")
-            field_spec = ("Fp", p)
-        else:
+        if fld.value != "QQ":
             self.err(f"unknown coefficient field {fld.value!r}", fld)
         self.expect("[")
         vars = [self.expect_name().value]
@@ -269,8 +262,8 @@ class _Parser:
         if len(set(vars)) != len(vars):
             self.err("duplicate variable name", start)
         return Statement("ring", name,
-                         {"field": field_spec, "vars": tuple(vars),
-                          "polys": polys}, start.line, start.col)
+                         {"vars": tuple(vars), "polys": polys},
+                         start.line, start.col)
 
     def seq_decl(self):
         start = self.expect("seq")
@@ -367,7 +360,6 @@ def parse_session(text):
 class Config:
     order: str = "grevlex"
     n_max: int = DEFAULT_N_MAX
-    trunc_max: int = 64
     stab_window: int = 2
     seed: int = 0
 
@@ -672,7 +664,7 @@ def run_session(session, config=None):
     out = []
     for stmt in session.statements:
         if stmt.kind == "ring":
-            session.bindings[stmt.name] = _make_ring(stmt, config)
+            session.bindings[stmt.name] = _make_ring(stmt)
         elif stmt.kind in ("seq", "ideal"):
             session.bindings[stmt.name] = {"kind": stmt.kind,
                                            "exprs": stmt.payload["exprs"]}
@@ -683,16 +675,11 @@ def run_session(session, config=None):
     return out
 
 
-def _make_ring(stmt, config):
-    if stmt.payload["field"][0] != "QQ":
-        raise SessionRunError(
-            f"line {stmt.line}: finite-field coefficients are parsed but not "
-            "supported by the exact-rational kernel; use QQ")
+def _make_ring(stmt):
     vars = stmt.payload["vars"]
     where = f"line {stmt.line}"
     gens = [_eval_poly(e, vars, where) for e in stmt.payload["polys"]]
-    opts = LocalOptions(trunc_max=config.trunc_max)
-    return LocalRingContext(vars, Ideal(vars, gens), options=opts)
+    return LocalRingContext(vars, Ideal(vars, gens))
 
 
 def _make_map(stmt, session):
@@ -789,7 +776,6 @@ def main(argv=None):
     ap.add_argument("--order", choices=["grevlex", "lex"], default="grevlex",
                     help="monomial order of gb's output; applies to gb only")
     ap.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
-    ap.add_argument("--trunc-max", type=int, default=64)
     ap.add_argument("--stab-window", type=int, default=2,
                     help="chain-stabilization window of limclose; applies "
                          "to limclose only")
@@ -810,7 +796,7 @@ def main(argv=None):
             print(f"error: {exc}", file=sys.stderr)
             return 1
 
-    config = Config(order=ns.order, n_max=ns.n_max, trunc_max=ns.trunc_max,
+    config = Config(order=ns.order, n_max=ns.n_max,
                     stab_window=ns.stab_window, seed=ns.seed)
 
     def on_alarm(signum, frame):

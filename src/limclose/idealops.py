@@ -310,19 +310,20 @@ def contract(ring_map, ideal_in_target):
 
 
 def krull_dim(I, order=GREVLEX):
-    """dim K[vars]/I as the maximal cardinality of a variable subset
-    independent modulo the lead-term ideal of I."""
+    """dim K[vars]/I, that of the lead-term ideal of I."""
     if I.is_unit_ideal():
         raise ValueError("unit ideal has no dimension")
-    gb = I.groebner(order)
-    leads = [m for m in gb.leads() if any(m)]
-    n = len(I.vars)
-    for size in range(n, -1, -1):
-        for subset in combinations(range(n), size):
+    return _lead_dim(I.groebner(order).leads(), len(I.vars))
+
+
+def _lead_dim(leads, nvars):
+    """dim K[x_1..x_nvars]/(leads) for a proper monomial ideal: the maximal
+    cardinality of a variable subset that supports no lead."""
+    for size in range(nvars, -1, -1):
+        for subset in combinations(range(nvars), size):
             sset = set(subset)
             if not any(_supported_in(m, sset) for m in leads):
                 return size
-    raise AssertionError("unreachable")
 
 
 def _supported_in(m, sset):
@@ -330,13 +331,12 @@ def _supported_in(m, sset):
 
 
 def standard_monomials(I, order=GREVLEX, leads=None):
-    """Monomials outside the lead-term ideal; raises unless the quotient is
-    a finite-dimensional vector space."""
+    """Monomials outside the lead-term ideal (of I under order, or spanned
+    by `leads`); raises unless the quotient is a finite-dimensional vector
+    space."""
     if leads is None:
         leads = I.groebner(order).leads()
-        nvars = len(I.vars)
-    else:
-        nvars = len(I.vars)
+    nvars = len(I.vars)
     caps = [None] * nvars
     for m in leads:
         nz = [i for i, e in enumerate(m) if e]

@@ -3,25 +3,30 @@ variables: local membership, local comparison, local length, local
 dimension, system-of-parameters tests, m-power containment.
 
 Localization is never represented by fractions.  Membership reduces to a
-colon criterion (the colon escapes m iff it contains a unit at the origin);
-lengths and dimensions reduce to vector-space dimensions of quotients by
-pure variable powers, which are cofinal with the powers of m.
+colon criterion (the colon escapes m iff it contains a unit at the origin).
+Lengths and dimensions are read from the leading monomials of a standard
+basis of (I + J)*R for the local degree order ds, computed by Lazard's
+homogenization on the global Buchberger kernel (Greuel-Pfister, A Singular
+Introduction to Commutative Algebra, 1.7): the length is the number of
+monomials outside the lead ideal, the dimension that of the lead ideal.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .polycore import Polynomial, GREVLEX
+from .polycore import Polynomial, MonomialOrder
 from .idealops import (
-    Ideal, ideal_sum, ideal_colon, vecspace_dim, standard_monomials,
-    NotZeroDimensional, AmbientMismatch,
+    Ideal, ideal_sum, ideal_colon, standard_monomials, _fresh_tag_var,
+    _lead_dim, NotZeroDimensional, AmbientMismatch,
 )
 
 
 class NotStabilized(RuntimeError):
-    """A truncation or colon chain failed to stabilize within its cap."""
+    """A chain (colons, closure intersections, Hilbert-Samuel differences)
+    did not stabilize within its cap.  Stabilization is read off a window
+    of equal terms: the one heuristic left."""
 
 
 class NotMPrimary(ValueError):
@@ -29,17 +34,9 @@ class NotMPrimary(ValueError):
 
 
 @dataclass
-class LocalOptions:
-    trunc_start: int = 4
-    trunc_max: int = 64
-    dim_points: int = 9
-
-
-@dataclass
 class LocalRingContext:
     vars: tuple
     defining: Ideal
-    options: LocalOptions = field(default_factory=LocalOptions)
 
     def __post_init__(self):
         self.vars = tuple(self.vars)
@@ -67,9 +64,6 @@ class LocalRingContext:
 
     def ideal(self, gens):
         return Ideal(self.vars, list(gens))
-
-    def maximal_ideal(self):
-        return Ideal(self.vars, [self.variable(v) for v in self.vars])
 
     def m_power(self, k):
         """m^k, generated by all degree-k monomials."""
@@ -164,110 +158,41 @@ def is_local_unit_ideal(I, ctx):
 
 
 # ---------------------------------------------------------------------------
-# truncated dimensions
+# lengths and dimensions from a local standard basis
 # ---------------------------------------------------------------------------
 
-def truncated_quotient_dim(I, ctx, N):
-    """dim_K of A/(I + J + (v^N for all variables v)).
-
-    The quotient is supported at the origin only, so this equals the length
-    of R/(I*R + m^[N]) where m^[N] is the ideal of pure N-th powers.
-    """
-    gens = list(ctx.adjoin(I).gens)
-    gens += [ctx.variable(v) ** N for v in ctx.vars]
-    return vecspace_dim(Ideal(ctx.vars, gens))
-
-
-def _is_origin_only(K, ctx):
-    """True if V(K) is globally just the origin: the quotient is finite
-    dimensional and every variable is nilpotent modulo K."""
-    try:
-        dim = vecspace_dim(K)
-    except NotZeroDimensional:
-        return False
-    bound = dim + 1
-    return all(K.contains_poly(ctx.variable(v) ** bound) for v in ctx.vars)
+def _local_leads(I, ctx):
+    """Leading monomials of a standard basis of (I + J)*R for ds: the
+    generators are homogenized by a fresh last variable h, and the reduced
+    basis under the lazard order, with h dropped from its leads, is one
+    (Lazard).  The shared basis cache serves every call on one ideal."""
+    hvars = ctx.vars + (_fresh_tag_var(ctx.vars),)
+    gens = []
+    for g in ctx.adjoin(I).gens:
+        d = g.total_degree()
+        gens.append(Polynomial(hvars, {e + (d - sum(e),): c
+                                       for e, c in g.terms.items()}))
+    basis = Ideal(hvars, gens).groebner(MonomialOrder.lazard())
+    return [m[:-1] for m in basis.leads()]
 
 
 def local_length(I, ctx):
-    """Length of R/I*R; raises NotMPrimary when the truncated dimensions do
-    not stabilize within the configured cap.
-
-    The table N -> dim R/(I*R + m^[N]) is read at N, 2N, 4N, ... and one
-    repeated value settles it: equal dimensions at N and 2N mean
-    m^[N] lies in I*R + m^[2N], inside I*R + m * m^[N] since
-    m^[2N] lies in m * m^[N]; by Nakayama m^[N] lies in I*R, so the value
-    is the length.
-    """
-    K = ctx.adjoin(I)
+    """Length of R/I*R: the number of monomials outside the local lead
+    ideal; raises NotMPrimary when I*R is not m-primary."""
     if is_local_unit_ideal(I, ctx):
         return 0
-    if _is_origin_only(K, ctx):
-        # the global quotient already equals the localized one
-        return vecspace_dim(K)
-    opts = ctx.options
-    N = opts.trunc_start
-    prev = None
-    while N <= opts.trunc_max:
-        val = truncated_quotient_dim(I, ctx, N)
-        if val == prev:
-            return val
-        prev = val
-        N *= 2
-    raise NotMPrimary(
-        f"truncated dimensions did not stabilize up to N={opts.trunc_max}; "
-        "the ideal is not m-primary locally (or raise trunc_max)")
+    try:
+        return len(standard_monomials(I, leads=_local_leads(I, ctx)))
+    except NotZeroDimensional:
+        raise NotMPrimary("the ideal is not m-primary locally") from None
 
 
 def local_dim(I, ctx):
-    """Dimension at the origin of A/(I + J): growth degree of the
-    Hilbert-Samuel style function N -> length(R/(I + m^[N])R).
-
-    Detection is by exact finite differences over the computed table; a
-    window of identically-zero (delta+1)-th differences fixes the degree.
-    Raises NotStabilized when no degree is detected.
-    """
+    """Dimension at the origin of A/(I + J): the dimension of the local
+    lead ideal, which has the Hilbert-Samuel function of R/I*R."""
     if is_local_unit_ideal(I, ctx):
         raise ValueError("ideal is locally the unit ideal")
-    K = ctx.adjoin(I)
-    if _is_origin_only(K, ctx):
-        return 0
-    npts = ctx.options.dim_points
-    vals = [truncated_quotient_dim(I, ctx, N) for N in range(1, npts + 1)]
-    try:
-        return _growth_degree(vals)
-    except NotStabilized:
-        # semigroup-type quotients give quasi-polynomial tables; extend the
-        # window so the periodic criterion has two full periods to see
-        more = max(14, npts + 5)
-        vals += [truncated_quotient_dim(I, ctx, N)
-                 for N in range(npts + 1, more + 1)]
-        return _growth_degree(vals)
-
-
-def _growth_degree(vals, tail=3, max_period=4):
-    """Degree of the eventually (quasi-)polynomial table `vals`.
-
-    Least delta whose (delta+1)-th finite differences either vanish on the
-    last `tail` entries, or are periodic with period p <= max_period and
-    period sums zero over the last two full periods (the quasi-polynomial
-    case: constant leading term, periodic lower terms)."""
-    diffs = list(vals)
-    for delta in range(len(vals)):
-        nxt = [b - a for a, b in zip(diffs, diffs[1:])]
-        if len(nxt) >= tail and all(d == 0 for d in nxt[-tail:]):
-            return delta
-        for p in range(2, max_period + 1):
-            if len(nxt) < 2 * p:
-                continue
-            if sum(nxt[-p:]) == 0 and all(nxt[-i] == nxt[-i - p]
-                                          for i in range(1, p + 1)):
-                return delta
-        if not nxt:
-            break
-        diffs = nxt
-    raise NotStabilized(
-        "growth degree undetermined within the computed window (raise dim_points)")
+    return _lead_dim(_local_leads(I, ctx), len(ctx.vars))
 
 
 def is_sop(seq):

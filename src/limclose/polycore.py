@@ -48,17 +48,21 @@ def mono_coprime(a, b):
 class MonomialOrder:
     """Total, multiplicative well-order on exponent tuples.
 
-    kind is one of 'lex', 'grevlex', 'block'.  A block order compares the
-    first `elim` variables by grevlex, then the rest by grevlex; it
-    eliminates the leading block.  `perm` optionally permutes variables
-    before comparison (perm[i] = position of variable i in the comparison
-    tuple).
+    kind is one of 'lex', 'grevlex', 'block', 'lazard'.  A block order
+    compares the first `elim` variables by grevlex, then the rest by
+    grevlex; it eliminates the leading block.  A lazard order reads the last
+    variable as a homogenizing h: total degree first, then the exponent of h
+    (higher is larger), then grevlex on the others.  On homogenized
+    polynomials its leading monomials, with h dropped, are those of the
+    local order ds (negative degree, then reverse lex).  `perm` optionally
+    permutes variables before comparison (perm[i] = position of variable i
+    in the comparison tuple).
     """
 
     __slots__ = ("kind", "elim", "perm")
 
     def __init__(self, kind, elim=0, perm=None):
-        if kind not in ("lex", "grevlex", "block"):
+        if kind not in ("lex", "grevlex", "block", "lazard"):
             raise ValueError(f"unknown order kind {kind!r}")
         if kind == "block" and elim < 1:
             raise ValueError("block order needs at least one eliminated variable")
@@ -78,9 +82,9 @@ class MonomialOrder:
     def block(cls, elim, perm=None):
         return cls("block", elim=elim, perm=perm)
 
-    @property
-    def degree_compatible(self):
-        return self.kind == "grevlex"
+    @classmethod
+    def lazard(cls):
+        return cls("lazard")
 
     def _apply_perm(self, exps):
         if self.perm is None:
@@ -101,6 +105,8 @@ class MonomialOrder:
             return exps
         if self.kind == "grevlex":
             return self._grevlex_key(exps)
+        if self.kind == "lazard":
+            return (sum(exps), exps[-1], self._grevlex_key(exps[:-1]))
         head, tail = exps[: self.elim], exps[self.elim:]
         return (self._grevlex_key(head), self._grevlex_key(tail))
 

@@ -381,8 +381,7 @@ def topology_scan(seq, n0=4, v_max=8):
 # closure contraction along a finite extension
 # ---------------------------------------------------------------------------
 
-def cyclic_cover_closure_check(ring_map, seq, target_options=None,
-                               check_unmixed_sop=None):
+def cyclic_cover_closure_check(ring_map, seq, check_unmixed_sop=None):
     """Compare the closure of a sop in R with the contraction of the closure
     of its image in a module-finite extension S.
 
@@ -397,8 +396,7 @@ def cyclic_cover_closure_check(ring_map, seq, target_options=None,
             raise ValueError(
                 "source ring is not unmixed; quotient by the unmixed "
                 "component first")
-    tctx = LocalRingContext(ring_map.target_vars, ring_map.target_ideal,
-                            options=target_options or ctx.options)
+    tctx = LocalRingContext(ring_map.target_vars, ring_map.target_ideal)
     images = [ring_map.apply(e) for e in seq.entries]
     tseq = SequenceInR(images, tctx)
     if not is_sop(tseq):

@@ -151,6 +151,31 @@ def local_member_oracle(f, gens, trunc_deg):
     return in_span(columns, truncate_vec(f))
 
 
+def local_length_oracle(gens, N):
+    """dim K[x]/((gens) + m^N): the monomials of degree < N minus the rank
+    of the shifts s*g (deg s < N) truncated below degree N.
+
+    The quotient is supported at the origin, so this is also the length of
+    R/(I + m^N)R.  Equal values at N and N+1 mean m^N lies in I + m^(N+1),
+    hence in I locally by Nakayama: the value is then the local length of
+    R/IR.  At least one generator (possibly zero) fixes the variables.
+    """
+    nvars = len(gens[0].vars)
+    monos = monomials_up_to(nvars, N - 1)
+    index = {m: i for i, m in enumerate(monos)}
+    rows = []
+    for g in gens:
+        for s in monos:
+            vec = [0] * len(monos)
+            for e, c in g.terms.items():
+                t = tuple(a + b for a, b in zip(e, s))
+                if sum(t) < N:
+                    vec[index[t]] = c
+            if any(vec):
+                rows.append(vec)
+    return len(monos) - rank_exact(rows)
+
+
 # ---------------------------------------------------------------------------
 # semigroup counting for monomial-curve / Veronese fixtures
 # ---------------------------------------------------------------------------

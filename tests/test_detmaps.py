@@ -107,6 +107,17 @@ def test_express_in_terms_with_a_zero_entry():
         [["0", "y"], ["0", "1"]]
 
 
+def test_express_in_terms_when_every_generator_is_zero():
+    """x = (0) over J = (0): the tracked basis is empty and carries no
+    rows, yet A = (0) expresses y = (0)."""
+    V = ("x",)
+    ctx = LocalRingContext(V, Ideal(V, []))
+    zero = SequenceInR([ctx.zero_poly()], ctx)
+    prob = express_in_terms(zero, zero)
+    assert prob.matrix == [[ctx.zero_poly()]]
+    assert prob.det.is_zero()
+
+
 def _perturb(problem, rng):
     """A different valid matrix for the same (x, y): add Koszul syzygies
     c*x_j to row i at column k and subtract c*x_k at column j."""

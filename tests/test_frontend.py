@@ -91,11 +91,11 @@ def test_unknown_variable_is_a_run_error_not_parse_error():
     assert "unknown variable 'w'" in str(exc.value)
 
 
-def test_finite_field_rings_are_rejected_at_run_time():
-    session = parse_session("ring P = Fp(7)[x] / (0);")
-    with pytest.raises(SessionRunError) as exc:
-        run_session(session, Config())
-    assert "parsed but not supported" in str(exc.value)
+def test_finite_field_rings_are_parse_errors():
+    with pytest.raises(SessionParseError) as exc:
+        parse_session("ring P = Fp(7)[x] / (0);")
+    assert "unknown coefficient field 'Fp'" in str(exc.value)
+    assert (exc.value.line, exc.value.col) == (1, 10)
 
 
 def test_command_argument_type_errors():
@@ -265,9 +265,15 @@ def test_cli_json_output_is_byte_identical_between_runs():
 
 
 def test_cli_module_error_exit_one():
-    proc = run_cli(["-"], stdin_text="ring P = Fp(5)[x] / (0);")
+    proc = run_cli(["-"], stdin_text="ring P = QQ[x] / (x + w);")
     assert proc.returncode == 1
-    assert "parsed but not supported" in proc.stderr
+    assert "unknown variable 'w'" in proc.stderr
+
+
+def test_cli_finite_field_exit_two():
+    proc = run_cli(["-"], stdin_text="ring P = Fp(5)[x] / (0);")
+    assert proc.returncode == 2
+    assert "unknown coefficient field 'Fp'" in proc.stderr
 
 
 def test_cli_parse_error_exit_two():

@@ -11,10 +11,10 @@ from limclose.idealops import Ideal
 from limclose.localring import (
     LocalRingContext, SequenceInR, local_member, local_contains, local_equal,
     is_local_unit_ideal, local_length, local_dim, is_sop,
-    contained_in_m_power, truncated_quotient_dim, NotMPrimary,
+    contained_in_m_power, NotMPrimary,
 )
 
-from oracles import local_member_oracle
+from oracles import local_member_oracle, local_length_oracle
 
 
 def rand_poly(rng, vars, max_terms=3, max_deg=3, max_coef=4):
@@ -196,13 +196,77 @@ def test_contained_in_m_power(plane):
         contained_in_m_power(I, 0, ctx)
 
 
-def test_truncated_quotient_dim_monotone_in_N(catalan_ring):
-    ctx = catalan_ring.ctx
-    I = catalan_ring.sop.ideal()
-    vals = [truncated_quotient_dim(I, ctx, N) for N in range(1, 6)]
-    assert all(a <= b for a, b in zip(vals, vals[1:]))
-    # m-primary: the table stabilizes at the local length
-    assert vals[-1] == vals[-2] == local_length(I, ctx)
+def _random_local_ring(rng):
+    """A small ring and ideal through the origin: non-homogeneous
+    generators, sometimes a far factor (vanishing away from the origin),
+    a unit factor, a shared factor (a curve through the origin) or an
+    embedded-point monomial."""
+    V = ("x", "y") if rng.random() < 0.8 else ("x", "y", "z")
+    one = Polynomial.constant(1, V)
+    gens, ngens = [], len(V) + rng.randint(0, 1)
+    while len(gens) < ngens:
+        g = rand_poly(rng, V, max_deg=2 if len(V) == 3 else 3)
+        g = g - Polynomial.constant(g.constant_term, V)
+        if g.is_zero():
+            continue
+        v = Polynomial.variable(rng.choice(V), V)
+        roll = rng.random()
+        if roll < 0.2:
+            g = g * (v - rng.choice((1, 2, -1)) * one)      # far component
+        elif roll < 0.3:
+            g = g * (v + one)                               # unit factor
+        gens.append(g)
+    roll = rng.random()
+    if roll < 0.15:
+        shared = Polynomial.variable(V[0], V) + Polynomial.variable(V[1], V) ** 2
+        gens = [g * shared for g in gens]
+    elif roll < 0.3:
+        gens.append(Polynomial.monomial(
+            tuple(rng.randint(0, 2) for _ in V), V))        # embedded point
+    J = []
+    if rng.random() < 0.3:
+        j = rand_poly(rng, V, max_deg=3)
+        J = [j - Polynomial.constant(j.constant_term, V)]
+    ctx = LocalRingContext(V, Ideal(V, J))
+    return ctx, Ideal(V, gens)
+
+
+def test_local_length_agrees_with_truncation_oracle():
+    """Differential check over seeded random small rings.  A finite length
+    L means m^L = 0 in R/IR, so the oracle reads L at N = L and N = L + 1;
+    NotMPrimary means no two consecutive truncations agree, so the oracle
+    strictly increases."""
+    rng = random.Random(2016)
+    seen = {"finite": 0, "infinite": 0}
+    while min(seen.values()) < 25:
+        ctx, I = _random_local_ring(rng)
+        if is_local_unit_ideal(I, ctx):
+            continue
+        gens = list(ctx.adjoin(I).gens) or [ctx.zero_poly()]
+        try:
+            L = local_length(I, ctx)
+        except NotMPrimary:
+            seen["infinite"] += 1
+            vals = [local_length_oracle(gens, N) for N in range(1, 6)]
+            assert all(a < b for a, b in zip(vals, vals[1:])), vals
+            assert local_dim(I, ctx) > 0
+            continue
+        if L > 8:
+            continue
+        seen["finite"] += 1
+        assert local_length_oracle(gens, L) == L
+        assert local_length_oracle(gens, L + 1) == L
+        assert local_dim(I, ctx) == 0
+
+
+def test_not_m_primary_hypersurface(space):
+    """xyz - 3y^2 - x has linear part -x: locally a smooth surface, so not
+    m-primary, of dimension 2."""
+    x, y, z = (space.extras[k] for k in "xyz")
+    I = Ideal(space.ctx.vars, [x * y * z - 3 * y ** 2 - x])
+    with pytest.raises(NotMPrimary):
+        local_length(I, space.ctx)
+    assert local_dim(I, space.ctx) == 2
 
 
 def test_length_of_sop_powers_grows_with_multiplicity(plane):

@@ -96,6 +96,26 @@ def test_block_order_eliminates_front_variables():
     assert LEX.eliminates(2)
 
 
+def test_lazard_order_is_ds_on_homogenized_monomials():
+    """Homogenized to one degree D by a last variable h, x-monomials compare
+    as in ds: lower degree is larger, ties by reverse lex.  Across degrees
+    the order stays degree-first, so it is a well-order."""
+    order = MonomialOrder.lazard()
+    rng = random.Random(3)
+    D = 12
+    for _ in range(300):
+        a = tuple(rng.randint(0, 3) for _ in range(3))
+        b = tuple(rng.randint(0, 3) for _ in range(3))
+        ha, hb = a + (D - sum(a),), b + (D - sum(b),)
+        if sum(a) != sum(b):
+            assert (order.key(ha) > order.key(hb)) == (sum(a) < sum(b))
+        else:
+            assert (order.key(ha) > order.key(hb)) == \
+                (GREVLEX.key(a) > GREVLEX.key(b))
+        if sum(a) < sum(b):
+            assert order.key(a + (0,)) < order.key(b + (0,))
+
+
 def test_monomial_helpers():
     a, b = (2, 1, 0), (1, 3, 0)
     assert mono_mul(a, b) == (3, 4, 0)
