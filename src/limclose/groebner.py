@@ -25,12 +25,6 @@ class Cofactors:
     remainder: Polynomial
     coefficients: list
 
-    def recombine(self, divisors):
-        acc = self.remainder
-        for c, g in zip(self.coefficients, divisors):
-            acc = acc + c * g
-        return acc
-
 
 @dataclass
 class GroebnerBasis:

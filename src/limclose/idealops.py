@@ -1,6 +1,6 @@
-"""Ideal-level algebra over the ambient polynomial ring: sum, product,
-power, intersection, colon, saturation, elimination, contraction along
-ring maps, Krull dimension, vector-space dimension of Artinian quotients.
+"""Ideal-level algebra over the ambient polynomial ring: sum, power,
+intersection, colon, saturation, elimination, contraction along ring maps,
+dimensions and standard monomials of monomial (lead-term) ideals.
 """
 
 from __future__ import annotations
@@ -101,13 +101,6 @@ class Ideal:
     def contains_poly(self, f, order=GREVLEX):
         return ideal_member(f, self.groebner(order))[0]
 
-    def is_unit_ideal(self):
-        gens = self.reduced_gens()
-        return len(gens) == 1 and gens[0].is_constant() and not gens[0].is_zero()
-
-    def is_zero_ideal(self):
-        return not self.reduced_gens()
-
     def __str__(self):
         return "(" + ", ".join(str(g) for g in self.gens) + ")"
 
@@ -120,11 +113,6 @@ def _check_same_ambient(I, J):
 def ideal_sum(I, J):
     _check_same_ambient(I, J)
     return Ideal(I.vars, I.gens + J.gens)
-
-
-def ideal_product(I, J):
-    _check_same_ambient(I, J)
-    return Ideal(I.vars, [g * h for g in I.gens for h in J.gens])
 
 
 def ideal_power(I, k):
@@ -309,13 +297,6 @@ def contract(ring_map, ideal_in_target):
     return Ideal(src, out)
 
 
-def krull_dim(I, order=GREVLEX):
-    """dim K[vars]/I, that of the lead-term ideal of I."""
-    if I.is_unit_ideal():
-        raise ValueError("unit ideal has no dimension")
-    return _lead_dim(I.groebner(order).leads(), len(I.vars))
-
-
 def _lead_dim(leads, nvars):
     """dim K[x_1..x_nvars]/(leads) for a proper monomial ideal: the maximal
     cardinality of a variable subset that supports no lead."""
@@ -365,7 +346,3 @@ def standard_monomials(I, order=GREVLEX, leads=None):
     rec(0)
     return out
 
-
-def vecspace_dim(I, order=GREVLEX):
-    """Number of standard monomials of a zero-dimensional ideal."""
-    return len(standard_monomials(I, order))

@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 from .idealops import Ideal, colon_by_product
 from .localring import (
-    LocalRingContext, SequenceInR, local_equal, local_contains, local_member,
-    is_sop, NotStabilized,
+    SequenceInR, local_equal, is_local_unit_ideal, is_sop, NotStabilized,
 )
 
 
@@ -73,32 +72,37 @@ def colon_step(seq, n):
     return colon_by_product(powered, [e ** n for e in seq.entries])
 
 
+def _stabilize(step, ctx, n_max, window, what):
+    """Chain step(1), step(2), ... up to step(n_max), stopped once `window`
+    consecutive terms are locally equal; returns the chain and the index of
+    the first term of that run.  Raises NotStabilized (carrying the partial
+    chain) otherwise."""
+    chain = []
+    for n in range(1, n_max + 1):
+        chain.append(step(n))
+        if len(chain) >= window and all(
+                local_equal(chain[-1], chain[-k - 1], ctx)
+                for k in range(1, window)):
+            return chain, n - window + 1
+    err = NotStabilized(f"{what} did not stabilize within n_max={n_max}")
+    err.partial_chain = chain
+    raise err
+
+
 def limit_closure(seq, n_max=DEFAULT_N_MAX, window=2):
     """Iterate colon_step until `window` consecutive chain terms are locally
     equal; raises NotStabilized (carrying the partial chain) otherwise."""
-    ctx = seq.ctx
-    chain = []
-    stable_at = None
-    for n in range(1, n_max + 1):
-        chain.append(colon_step(seq, n))
-        if len(chain) >= window:
-            if all(local_equal(chain[-1], chain[-k - 1], ctx)
-                   for k in range(1, window)):
-                stable_at = n - window + 1
-                break
-    if stable_at is None:
-        err = NotStabilized(
-            f"colon chain did not stabilize within n_max={n_max}")
-        err.partial_chain = chain
-        raise err
+    chain, stable_at = _stabilize(lambda n: colon_step(seq, n), seq.ctx,
+                                  n_max, window, "colon chain")
     closure = chain[stable_at - 1]
-    proper = not local_member(ctx.one(), closure, ctx)
+    # the closure contains J, which has no unit at the origin, so it is
+    # locally the unit ideal iff one of its generators is a unit there
     return LimitClosureResult(
         closure=closure,
         stabilization_index=stable_at,
         chain=chain,
         sequence=seq,
-        is_proper=proper,
+        is_proper=not is_local_unit_ideal(closure, seq.ctx),
     )
 
 
@@ -118,21 +122,12 @@ def mixed_colon_step(spec, k):
 def limit_closure_mixed(spec, n_max=DEFAULT_N_MAX, window=2):
     """Stabilized union over k of the mixed colon chain; a degenerate spec
     with empty tail is the plain limit closure of the powered head."""
-    ctx = spec.head.ctx
     if not spec.tail.entries:
         return limit_closure(spec.head.powers(spec.head_power),
                              n_max=n_max, window=window).closure
-    chain = []
-    for k in range(1, n_max + 1):
-        chain.append(mixed_colon_step(spec, k))
-        if len(chain) >= window:
-            if all(local_equal(chain[-1], chain[-j - 1], ctx)
-                   for j in range(1, window)):
-                return chain[-1]
-    err = NotStabilized(
-        f"mixed colon chain did not stabilize within n_max={n_max}")
-    err.partial_chain = chain
-    raise err
+    chain, _ = _stabilize(lambda k: mixed_colon_step(spec, k), spec.head.ctx,
+                          n_max, window, "mixed colon chain")
+    return chain[-1]
 
 
 def monomial_property(seq, n_max=DEFAULT_N_MAX):

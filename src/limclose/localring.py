@@ -2,13 +2,14 @@
 variables: local membership, local comparison, local length, local
 dimension, system-of-parameters tests, m-power containment.
 
-Localization is never represented by fractions.  Membership reduces to a
-colon criterion (the colon escapes m iff it contains a unit at the origin).
-Lengths and dimensions are read from the leading monomials of a standard
-basis of (I + J)*R for the local degree order ds, computed by Lazard's
-homogenization on the global Buchberger kernel (Greuel-Pfister, A Singular
-Introduction to Commutative Algebra, 1.7): the length is the number of
-monomials outside the lead ideal, the dimension that of the lead ideal.
+Localization is never represented by fractions.  Every answer is read from
+the leading monomials of a standard basis of (I + J)*R for the local degree
+order ds, computed by Lazard's homogenization on the global Buchberger
+kernel (Greuel-Pfister, A Singular Introduction to Commutative Algebra,
+1.6-1.7): the length is the number of monomials outside the lead ideal, the
+dimension that of the lead ideal, and since ideals I <= I' of the local
+ring with equal lead ideals are equal, I1*R <= I2*R exactly when the lead
+ideal of (I1 + I2)*R lies in that of I2*R.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
-from .polycore import Polynomial, MonomialOrder
+from .polycore import Polynomial, MonomialOrder, mono_divides
 from .idealops import (
-    Ideal, ideal_sum, ideal_colon, standard_monomials, _fresh_tag_var,
+    Ideal, ideal_sum, standard_monomials, _fresh_tag_var,
     _lead_dim, NotZeroDimensional, AmbientMismatch,
 )
 
@@ -128,22 +129,19 @@ class SequenceInR:
 # ---------------------------------------------------------------------------
 
 def local_member(f, I, ctx):
-    """f in (I + J)*A_m, via the colon criterion: (I+J) : f escapes m iff
-    some generator of the colon carries a non-zero constant term."""
-    if f.is_zero():
-        return True
-    K = ctx.adjoin(I)
-    if K.contains_poly(f):
-        return True
-    if not K.gens:
-        return False
-    colon = ideal_colon(K, f)
-    return any(g.constant_term for g in colon.reduced_gens())
+    """f in (I + J)*R."""
+    return local_contains(Ideal(ctx.vars, [f]), I, ctx)
 
 
 def local_contains(I1, I2, ctx):
-    """I1*R subset of I2*R."""
-    return all(local_member(g, I2, ctx) for g in I1.gens)
+    """I1*R subset of I2*R: every local lead of I1 + I2 is divisible by a
+    local lead of I2, since (I2 + J)*R lies in (I1 + I2 + J)*R and nested
+    ideals with equal lead ideals are equal."""
+    if not I1.gens or is_local_unit_ideal(I2, ctx):
+        return True
+    leads2 = _local_leads(I2, ctx)
+    return all(any(mono_divides(m, a) for m in leads2)
+               for a in _local_leads(ideal_sum(I1, I2), ctx))
 
 
 def local_equal(I1, I2, ctx):
@@ -158,7 +156,7 @@ def is_local_unit_ideal(I, ctx):
 
 
 # ---------------------------------------------------------------------------
-# lengths and dimensions from a local standard basis
+# the local standard basis: lengths and dimensions
 # ---------------------------------------------------------------------------
 
 def _local_leads(I, ctx):

@@ -117,13 +117,6 @@ class MonomialOrder:
         reverses the lexicographic comparison."""
         return _neg_key(self.key(exps))
 
-    def eliminates(self, nvars_dropped):
-        """True if leading monomials free of the first `nvars_dropped`
-        variables certify membership in the subring without them."""
-        if self.kind == "lex" and self.perm is None:
-            return True
-        return self.kind == "block" and self.elim >= nvars_dropped and self.perm is None
-
     def __eq__(self, other):
         return (isinstance(other, MonomialOrder)
                 and (self.kind, self.elim, self.perm) == (other.kind, other.elim, other.perm))

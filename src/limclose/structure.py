@@ -81,24 +81,25 @@ class CyclicCoverReport:
 # unmixed component (stabilized intersection of closures of powered sops)
 # ---------------------------------------------------------------------------
 
+def _has_small_dimension(g, ctx, threshold):
+    """Annihilator criterion: dim R*g < threshold iff g is zero in R or
+    dim R/(J : g) < threshold."""
+    if local_member(g, ctx.zero_ideal(), ctx):
+        return True
+    ann = ideal_colon_ideal(ctx.defining, Ideal(ctx.vars, [g]))
+    return local_dim(ann, ctx) < threshold
+
+
 def _small_dimension_part(W, ctx, threshold):
     """Certified subideal of W of module dimension < threshold.
 
     Elementwise criterion (annihilator characterization of the largest
-    small-dimensional submodule): g has dim R*g < threshold iff
-    dim R/(J : g) < threshold.  Every returned generator carries that
+    small-dimensional submodule).  Every returned generator carries that
     certificate, so the result is always inside the true small part; only
     completeness rests on the caller's stabilization window.
     """
-    gens = []
-    for g in ctx.adjoin(W).reduced_gens():
-        if local_member(g, ctx.zero_ideal(), ctx):
-            gens.append(g)
-            continue
-        ann = ideal_colon_ideal(ctx.defining, Ideal(ctx.vars, [g]))
-        if local_dim(ann, ctx) < threshold:
-            gens.append(g)
-    return Ideal(ctx.vars, gens)
+    return Ideal(ctx.vars, [g for g in ctx.adjoin(W).reduced_gens()
+                            if _has_small_dimension(g, ctx, threshold)])
 
 
 def _stabilized_closure_intersection(seqs, ctx, threshold, window=2,
@@ -168,13 +169,10 @@ def _assisted_component(ctx, components, d):
 
 
 def _verify_small_dimension(ctx, comp, d):
-    """Annihilator criterion: every generator g of the component satisfies
-    dim R/(0 : g) < d, i.e. local_dim(J : g) < d."""
+    """Raises NotStabilized unless every generator g of the component has
+    dim R*g < d."""
     for g in comp.gens:
-        if local_member(g, ctx.zero_ideal(), ctx):
-            continue
-        ann = ideal_colon_ideal(ctx.defining, Ideal(ctx.vars, [g]))
-        if local_dim(ann, ctx) >= d:
+        if not _has_small_dimension(g, ctx, d):
             raise NotStabilized(
                 f"generator {g} fails the small-dimension criterion; "
                 "the closure intersection has not stabilized")

@@ -9,11 +9,10 @@ from limclose import idealops
 from limclose.groebner import buchberger
 from limclose.polycore import Polynomial, GREVLEX
 from limclose.idealops import (
-    Ideal, ideal_sum, ideal_product, ideal_power, ideal_intersect,
+    Ideal, ideal_sum, ideal_power, ideal_intersect,
     ideal_colon, ideal_colon_ideal, ideal_saturate, ideals_equal,
-    eliminate, contract, RingMapPresentation, krull_dim, vecspace_dim,
-    standard_monomials, AmbientMismatch, NotZeroDimensional,
-    poly_divide_exact,
+    eliminate, contract, RingMapPresentation, standard_monomials,
+    AmbientMismatch, NotZeroDimensional, poly_divide_exact, _lead_dim,
 )
 
 from oracles import monomials_up_to, rank_exact
@@ -53,7 +52,6 @@ def test_sum_product_power_basics():
     I = Ideal(VARS, [X])
     J = Ideal(VARS, [Y])
     assert ideals_equal(ideal_sum(I, J), Ideal(VARS, [X, Y]))
-    assert ideals_equal(ideal_product(I, J), Ideal(VARS, [X * Y]))
     assert ideals_equal(ideal_power(Ideal(VARS, [X, Y]), 2),
                         Ideal(VARS, [X ** 2, X * Y, Y ** 2]))
 
@@ -64,7 +62,8 @@ def test_power_matches_iterated_product():
         I = rand_ideal(rng)
         by_product = I
         for _ in range(2):
-            by_product = ideal_product(by_product, I)
+            by_product = Ideal(VARS, [g * h for g in by_product.gens
+                                      for h in I.gens])
         assert ideals_equal(ideal_power(I, 3), by_product)
 
 
@@ -115,7 +114,8 @@ def test_intersect_known_cases():
     got = ideal_intersect(Ideal(VARS, [X]), Ideal(VARS, [Y, Z]))
     assert ideals_equal(got, Ideal(VARS, [X * Y, X * Z]))
     # intersect with the zero ideal
-    assert ideal_intersect(Ideal(VARS, [X]), Ideal(VARS, [])).is_zero_ideal()
+    assert not ideal_intersect(Ideal(VARS, [X]),
+                               Ideal(VARS, [])).reduced_gens()
 
 
 def test_intersect_contains_products_and_respects_membership():
@@ -158,7 +158,8 @@ def test_colon_by_ideal_intersects_generator_colons():
     I = Ideal(VARS, [X * Y, X * Z])
     J = Ideal(VARS, [Y, Z])
     assert ideals_equal(ideal_colon_ideal(I, J), Ideal(VARS, [X * Y, X * Z, X]))
-    assert ideal_colon_ideal(I, Ideal(VARS, [])).is_unit_ideal()
+    assert ideals_equal(ideal_colon_ideal(I, Ideal(VARS, [])),
+                        Ideal(VARS, [ONE]))
 
 
 def test_colon_by_zero_raises():
@@ -204,7 +205,7 @@ def test_elimination_oracle_set():
     # eliminating everything but x from (x - y, y - z)
     J = Ideal(VARS, [X - Y, Y - Z])
     got2 = eliminate(J, ["y", "z"])
-    assert got2.is_zero_ideal()
+    assert not got2.reduced_gens()
 
 
 def test_elimination_members_stay_members():
@@ -248,12 +249,15 @@ def test_ring_map_rejects_ill_defined_images():
 
 
 def test_krull_dim_examples():
-    assert krull_dim(Ideal(VARS, [])) == 3
-    assert krull_dim(Ideal(VARS, [X])) == 2
-    assert krull_dim(Ideal(VARS, [X * Y, X * Z])) == 2
-    assert krull_dim(Ideal(VARS, [X, Y, Z])) == 0
-    with pytest.raises(ValueError):
-        krull_dim(Ideal(VARS, [ONE]))
+    """dim K[x, y, z]/I is that of the lead-term ideal of I."""
+    def krull_dim(gens):
+        return _lead_dim(Ideal(VARS, gens).groebner().leads(), len(VARS))
+
+    assert krull_dim([]) == 3
+    assert krull_dim([X]) == 2
+    assert krull_dim([X * Y, X * Z]) == 2
+    assert krull_dim([X, Y, Z]) == 0
+    assert krull_dim([X * Y - Z, X ** 2 - Y]) == 1
 
 
 def test_vecspace_dim_against_row_reduction_oracle():
@@ -264,9 +268,9 @@ def test_vecspace_dim_against_row_reduction_oracle():
         gens = [X ** rng.randint(1, 3), Y ** rng.randint(1, 3),
                 Z ** rng.randint(1, 3), rand_poly(rng)]
         I = Ideal(VARS, gens)
-        if I.is_unit_ideal():
+        if ideals_equal(I, Ideal(VARS, [ONE])):
             continue
-        got = vecspace_dim(I)
+        got = len(standard_monomials(I))
         # oracle: A/I = A/(I + m^D) once D tops the pure powers, and the
         # image of I there is spanned by degree-truncated monomial shifts
         D = 9

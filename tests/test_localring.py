@@ -7,7 +7,7 @@ import pytest
 
 from limclose import idealops
 from limclose.polycore import Polynomial
-from limclose.idealops import Ideal
+from limclose.idealops import Ideal, ideal_colon
 from limclose.localring import (
     LocalRingContext, SequenceInR, local_member, local_contains, local_equal,
     is_local_unit_ideal, local_length, local_dim, is_sop,
@@ -229,6 +229,66 @@ def _random_local_ring(rng):
         J = [j - Polynomial.constant(j.constant_term, V)]
     ctx = LocalRingContext(V, Ideal(V, J))
     return ctx, Ideal(V, gens)
+
+
+def _colon_criterion(f, I, ctx):
+    """Reference local membership test: (I + J) : f contains a unit."""
+    return f.is_zero() or any(
+        g.constant_term for g in ideal_colon(ctx.adjoin(I), f).reduced_gens())
+
+
+def _unit(rng, V):
+    """A random unit at the origin: a non-zero constant plus terms in m."""
+    u = rand_poly(rng, V, max_terms=2, max_deg=1)
+    return u + Polynomial.constant(rng.choice((1, 2, -3)) - u.constant_term, V)
+
+
+def _containment_case(rng):
+    """A random ring and ideal G (from _random_local_ring), I2 = G with each
+    generator multiplied by a unit, and I1 of one to three generators: each a
+    combination of generators of G (a local member of I2, seldom a global
+    one) or a random element of m."""
+    ctx, G = _random_local_ring(rng)
+    V = ctx.vars
+    I2 = Ideal(V, [g * _unit(rng, V) for g in G.gens])
+    gens1 = []
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.6:
+            f = Polynomial.zero(V)
+            for g in rng.sample(G.gens, rng.randint(1, 2)):
+                f = f + rand_poly(rng, V, max_terms=2, max_deg=1) * g
+        else:
+            f = rand_poly(rng, V, max_deg=2)
+            f = f - Polynomial.constant(f.constant_term, V)
+        gens1.append(f)
+    return ctx, Ideal(V, gens1), I2, G
+
+
+def test_local_containment_agrees_with_colon_criterion():
+    """Differential check over seeded random rings: membership, containment
+    and equality from the local lead ideals against the colon criterion, and
+    against the truncation oracle, whose False certifies non-membership."""
+    rng = random.Random(1983)
+    local_only = 0
+    for _ in range(80):
+        ctx, I1, I2, G = _containment_case(rng)
+        gens2 = list(ctx.adjoin(I2).gens)
+        members = []
+        for f in I1.gens:
+            got = local_member(f, I2, ctx)
+            assert got == _colon_criterion(f, I2, ctx), (ctx, f, I2)
+            if not local_member_oracle(f, gens2, trunc_deg=4):
+                assert not got
+            if got and not ctx.adjoin(I2).contains_poly(f):
+                local_only += 1
+            members.append(got)
+        assert local_contains(I1, I2, ctx) == all(members)
+        assert local_equal(I1, I2, ctx) == (all(members) and all(
+            _colon_criterion(g, I1, ctx) for g in I2.gens))
+        assert local_equal(I2, G, ctx)
+        assert local_equal(Ideal(ctx.vars, [g * _unit(rng, ctx.vars)
+                                            for g in I2.gens]), G, ctx)
+    assert local_only >= 20
 
 
 def test_local_length_agrees_with_truncation_oracle():
