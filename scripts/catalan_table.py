@@ -1,8 +1,10 @@
 """Print the colon table (y^{2n}, u^{2n}, v^{2n}) : (yuv)^n on the quadric
 hypersurface Q[x,y,u,v]/(xy - ux^2 - vy^2) and check each row against the
 closed form x - yv * sum_{i<=n-2} C_i (uv)^i built from Catalan numbers.
+Exits 1 if any row does not match.
 
-Usage: python scripts/catalan_table.py [n_max]   (default 5; 9 takes a while)
+Usage: python scripts/catalan_table.py [n_max]   (default 5; 9 takes about
+90 s on a shared 2-vCPU Xeon VM, 43 s of it for row 9)
 """
 
 import sys
@@ -23,6 +25,7 @@ def main(n_max=5):
     f = x * y - u * x ** 2 - v * y ** 2
     ctx = LocalRingContext(V, Ideal(V, [f]))
     print(f"ring: Q[x,y,u,v]/({f}), colon rows n = 1..{n_max}")
+    mismatches = 0
     for n in range(1, n_max + 1):
         t0 = time.monotonic()
         a_n = x if n == 1 else \
@@ -32,10 +35,11 @@ def main(n_max=5):
         colon = colon_by_product(powered, [y] * n + [u] * n + [v] * n)
         expected = ctx.adjoin(Ideal(V, [y ** n, u ** n, v ** n, a_n]))
         ok = local_equal(colon, expected, ctx)
+        mismatches += not ok
         dt = time.monotonic() - t0
         print(f"n={n}: (y^n,u^n,v^n, a_n) with a_n = {a_n}")
         print(f"      {'matches' if ok else 'MISMATCH'}  [{dt:.1f}s]")
-    return 0
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":

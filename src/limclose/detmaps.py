@@ -1,19 +1,18 @@
 """Determinantal maps between quotients by limit closures: recover the
 coefficient matrix expressing one parameter sequence in terms of another,
-take its determinant exactly, test injectivity of the multiplication map
-det(A) : R/(x)^lim -> R/(y)^lim, and run the sop-equivalence harness.
+take its determinant exactly, and test injectivity of the multiplication map
+det(A) : R/(x)^lim -> R/(y)^lim.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .polycore import Polynomial, GREVLEX
 from .groebner import buchberger, ideal_member
 from .idealops import poly_divide_exact
 from .localring import (
-    SequenceInR, local_member, local_contains, is_local_unit_ideal, is_sop,
-    contained_in_m_power,
+    SequenceInR, local_member, local_contains, is_local_unit_ideal,
 )
 from .limitclosure import limit_closure, DEFAULT_N_MAX
 
@@ -143,46 +142,3 @@ def detmap_injective(problem, n_max=DEFAULT_N_MAX):
     from .idealops import ideal_colon
     kernel = ideal_colon(ctx.adjoin(clo_y), problem.det)
     return local_contains(kernel, clo_x, ctx)
-
-
-@dataclass
-class TheoremCReport:
-    problem: DetMapProblem
-    y_is_sop: bool
-    injective: bool
-    agree: bool
-    ell: int
-    x_deep_enough: bool    # (x) inside m^ell
-    warnings: list = field(default_factory=list)
-
-
-def theoremC_check(x, y, ell=1, equidimensional=False, n_max=DEFAULT_N_MAX):
-    """Compare the two verdicts the sop-equivalence theorem ties together:
-    is y a sop, and is the determinantal map injective.
-
-    Disagreement with small ell is data, not an error: the equivalence is
-    only guaranteed for parameters deep enough in m (the required depth is
-    not effective).  Equidimensionality of the ring is a user-asserted
-    hypothesis, recorded in the report when absent.
-    """
-    ctx = x.ctx
-    if not is_sop(x):
-        raise ValueError("x is not a system of parameters")
-    problem = express_in_terms(y, x)
-    verdict_sop = is_sop(y)
-    verdict_inj = detmap_injective(problem, n_max=n_max)
-    warnings = []
-    if not equidimensional:
-        warnings.append("equidimensionality not asserted")
-    deep = contained_in_m_power(x.ideal(), ell, ctx)
-    if not deep:
-        warnings.append(f"(x) not contained in m^{ell}")
-    return TheoremCReport(
-        problem=problem,
-        y_is_sop=verdict_sop,
-        injective=verdict_inj,
-        agree=verdict_sop == verdict_inj,
-        ell=ell,
-        x_deep_enough=deep,
-        warnings=warnings,
-    )

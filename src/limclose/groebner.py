@@ -2,8 +2,10 @@
 reduced canonical bases, ideal membership and equality.
 
 Determinism: divisors are tried in list order with the leading term reduced
-first; S-pairs are processed by minimal lcm degree, ties broken by pair
-indices.
+first.  Each new basis element passes through one Gebauer-Moeller update,
+which decides once which of its pairs are queued and which queued pairs are
+dropped; the queued S-pairs are then processed by minimal lcm degree, ties
+broken by pair indices.
 """
 
 from __future__ import annotations
@@ -35,16 +37,27 @@ class GroebnerBasis:
 
     def __post_init__(self):
         self._leads = None
+        self._primitives = None
 
     def leads(self):
         if self._leads is None:
             self._leads = [g.lead(self.order)[0] for g in self.generators]
         return self._leads
 
+    def primitives(self):
+        """Integer-primitive multiples of the generators, which divide like
+        the generators themselves (same leads, same remainders)."""
+        if self._primitives is None:
+            self._primitives = [g.primitive() for g in self.generators]
+        return self._primitives
 
-def normal_form(f, divisors, order, track=False):
+
+def normal_form(f, divisors, order, track=False, leads=None):
     """Deterministic multivariate division of f by the divisor list, in
     integer arithmetic; with `track`, also the quotient of each divisor.
+    `leads`, when given, are the leading monomials of the divisors, which
+    must then have integer coefficients only: no divisor is scanned,
+    replaced or asked for its lead.
 
     The working polynomial is kept as S * (true value) for a running integer
     scale S: dividing a term by a leading coefficient that does not divide it
@@ -61,12 +74,14 @@ def normal_form(f, divisors, order, track=False):
         if isinstance(c, Fraction):
             scale = lcm(scale, c.denominator)
     work = {e: int(c * scale) for e, c in f.terms.items()}
-    if any(isinstance(c, Fraction)
-           for g in divisors for c in g.terms.values()):
-        divisors = [g.primitive() for g in divisors]
+    if leads is None:
+        leads = [g.lead(order)[0] for g in divisors]
+        if any(isinstance(c, Fraction)
+               for g in divisors for c in g.terms.values()):
+            divisors = [g.primitive() for g in divisors]
     remainder = {}
     cof = [{} if track else None for _ in divisors]
-    leads = [g.lead(order) + (g, d) for g, d in zip(divisors, cof)]
+    reducers = [(m, g.terms[m], g, d) for m, g, d in zip(leads, divisors, cof)]
     # every dict held at scale S: rescaled and divided together
     scaled = [work, remainder] + (cof if track else [])
     negkey = order.negkey
@@ -90,7 +105,7 @@ def normal_form(f, divisors, order, track=False):
                 for d in scaled:
                     for e in d:
                         d[e] //= g0
-        for lm, lc, g, quot in leads:
+        for lm, lc, g, quot in reducers:
             if mono_divides(lm, m):
                 if lc == 1:
                     q = c
@@ -129,8 +144,8 @@ def normal_form(f, divisors, order, track=False):
         remainder = {e: Fraction(c, scale) for e, c in remainder.items()}
     quotients = []
     if track:
-        for (_, lc, _, quot), g in zip(leads, given):
-            r = Fraction(lc, scale) / g.lead(order)[1]
+        for (lm, lc, _, quot), g in zip(reducers, given):
+            r = Fraction(lc, scale) / g.terms[lm]
             quotients.append(
                 Polynomial(vars, {e: v * r for e, v in quot.items()}))
     return Cofactors(Polynomial(vars, remainder), quotients)
@@ -146,15 +161,6 @@ def _row_sum(pairs, width, vars):
     return out
 
 
-def _s_poly_parts(gi, gj, order):
-    """Multipliers (exps, coeff) for each side of the S-polynomial; the
-    S-poly is ti*gi - tj*gj with both leading terms mapped to lcm."""
-    (mi, ci) = gi.lead(order)
-    (mj, cj) = gj.lead(order)
-    lcm = mono_lcm(mi, mj)
-    return lcm, (mono_div(lcm, mi), cj), (mono_div(lcm, mj), ci)
-
-
 def buchberger(gens, order=GREVLEX, track=False):
     """Groebner basis of the ideal generated by `gens`.
 
@@ -164,6 +170,10 @@ def buchberger(gens, order=GREVLEX, track=False):
     n_orig = len(gens)
     basis = []
     rows = []          # cofactor rows over the input gens
+    leads = []         # leading monomial of each basis element
+    active = []        # indices new pairs may use (see _update)
+    pairs = []         # heap of (lcm degree, j, i, lcm) with j < i
+    dead = set()       # queued (j, i) that a later update dropped
     for k, g in enumerate(gens):
         if g.is_zero():
             continue
@@ -173,29 +183,26 @@ def buchberger(gens, order=GREVLEX, track=False):
                          for t in range(n_orig)])
         else:
             basis.append(g.primitive())
+        leads.append(g.lead(order)[0])
+        active = _update(leads, active, pairs, dead)
     if not basis:
         return GroebnerBasis([], order, origin_cofactors=[] if track else None)
     vars = basis[0].vars
 
-    pairs = []
-    for i in range(len(basis)):
-        for j in range(i):
-            _enqueue(pairs, basis, i, j, order)
-
     while pairs:
-        deg, j, i, lcm = heapq.heappop(pairs)
+        _, j, i, lcm = heapq.heappop(pairs)
+        if (j, i) in dead:
+            continue
         gi, gj = basis[i], basis[j]
-        mi = gi.lead(order)[0]
-        mj = gj.lead(order)[0]
-        if mono_coprime(mi, mj):
-            continue
-        if _chain_criterion(basis, order, i, j, lcm):
-            continue
-        _, (ti, ci), (tj, cj) = _s_poly_parts(gi, gj, order)
+        ti, tj = mono_div(lcm, leads[i]), mono_div(lcm, leads[j])
+        # s = ci*ti*gi - cj*tj*gj cancels the two leading terms
+        ci, cj = gj.terms[leads[j]], gi.terms[leads[i]]
         s = gi.term_mul(ti, ci) - gj.term_mul(tj, cj)
         if s.is_zero():
             continue
-        nf = normal_form(s, basis, order, track=track)
+        # untracked elements are primitive integer polynomials already
+        nf = normal_form(s, basis, order, track=track,
+                         leads=None if track else leads)
         r = nf.remainder
         if r.is_zero():
             continue
@@ -208,37 +215,41 @@ def buchberger(gens, order=GREVLEX, track=False):
             rows.append(_row_sum(mults, n_orig, vars))
         else:
             basis.append(r.primitive())
-        new_i = len(basis) - 1
-        for k in range(new_i):
-            _enqueue(pairs, basis, new_i, k, order)
+        leads.append(r.lead(order)[0])
+        active = _update(leads, active, pairs, dead)
 
     return reduce_basis(
         GroebnerBasis(basis, order, origin_cofactors=rows if track else None))
 
 
-def _enqueue(pairs, basis, i, j, order):
-    mi = basis[i].lead(order)[0]
-    mj = basis[j].lead(order)[0]
-    lcm = mono_lcm(mi, mj)
-    deg = mono_degree(lcm)
-    heapq.heappush(pairs, (deg, j, i, lcm))
+def _update(leads, active, pairs, dead):
+    """Gebauer-Moeller update for the newest element h, of lead leads[-1]
+    (Becker-Weispfenning, Groebner Bases, 5.5, UPDATE); returns the new
+    active list.  Every element stays a reducer; only pairs read `active`.
 
-
-def _chain_criterion(basis, order, i, j, lcm):
-    """Buchberger's chain criterion, strict-divisibility form: skip (i, j)
-    if some third lead divides lcm(i, j) while both side lcms are strictly
-    smaller.  Strictness makes the elimination order well-founded."""
-    mi = basis[i].lead(order)[0]
-    mj = basis[j].lead(order)[0]
-    for k in range(len(basis)):
-        if k == i or k == j:
-            continue
-        mk = basis[k].lead(order)[0]
-        if (mono_divides(mk, lcm)
-                and mono_lcm(mi, mk) != lcm
-                and mono_lcm(mj, mk) != lcm):
-            return True
-    return False
+    - Criteria M and F: of the pairs (h, g), g active, drop one whose lcm
+      another remaining pair's lcm divides.  Pairs with coprime leads are
+      dropped only after that (product criterion): they still drop others.
+    - Criterion B: a queued pair (g1, g2) dies when lead(h) divides its lcm
+      and neither lcm(g1, h) nor lcm(g2, h) equals it.
+    - An active element whose lead lead(h) divides is retired.
+    """
+    i = len(leads) - 1
+    mh = leads[i]
+    new = [(mono_lcm(mh, leads[j]), j) for j in active]
+    kept = []
+    for n, (m, j) in enumerate(new):
+        if mono_coprime(mh, leads[j]) or not any(
+                mono_divides(m2, m) for m2, _ in new[n + 1:] + kept):
+            kept.append((m, j))
+    for _, j, k, m in pairs:
+        if (mono_divides(mh, m) and m != mono_lcm(leads[j], mh)
+                and m != mono_lcm(leads[k], mh)):
+            dead.add((j, k))
+    for m, j in kept:
+        if not mono_coprime(mh, leads[j]):
+            heapq.heappush(pairs, (mono_degree(m), j, i, m))
+    return [j for j in active if not mono_divides(mh, leads[j])] + [i]
 
 
 def reduce_basis(gb):
@@ -283,11 +294,12 @@ def ideal_member(f, gb):
     expresses f over the input generators; otherwise it is None.
     """
     rows = gb.origin_cofactors
-    nf = normal_form(f, gb.generators, gb.order, track=rows is not None)
+    if rows is None:
+        nf = normal_form(f, gb.primitives(), gb.order, leads=gb.leads())
+        return nf.remainder.is_zero(), None
+    nf = normal_form(f, gb.generators, gb.order, track=True)
     if not nf.remainder.is_zero():
         return False, None
-    if rows is None:
-        return True, None
     width = len(rows[0]) if rows else 0
     return True, Cofactors(nf.remainder,
                            _row_sum(zip(nf.coefficients, rows), width, f.vars))

@@ -325,7 +325,8 @@ class Polynomial:
     def primitive(self):
         """Integer-primitive scalar multiple: clears denominators and divides
         by the (positive) integer content, so the signs of the coefficients
-        are kept.  Keeps GB internals in integer arithmetic.
+        are kept; a polynomial that is primitive already is returned as it
+        is.  Keeps GB internals in integer arithmetic.
         """
         if not self.terms:
             return self
@@ -337,6 +338,8 @@ class Polynomial:
         g = 0
         for c in self.terms.values():
             g = gcd(g, int(c * den))
+        if den == 1 and g == 1:
+            return self
         return Polynomial(self.vars, {e: int(c * den) // g for e, c in self.terms.items()})
 
     # -- structural helpers ---------------------------------------------------

@@ -1,5 +1,5 @@
 """Determinantal maps: exact determinants, matrix recovery, injectivity of
-det(A) : R/(x)^lim -> R/(y)^lim, and the sop-equivalence harness."""
+det(A) : R/(x)^lim -> R/(y)^lim, and its agreement with sop-ness."""
 
 import random
 from fractions import Fraction
@@ -11,7 +11,7 @@ from limclose.idealops import Ideal
 from limclose.localring import LocalRingContext, SequenceInR, is_sop
 from limclose.detmaps import (
     DetMapProblem, determinant, _det_cofactor, _det_bareiss,
-    express_in_terms, detmap_injective, theoremC_check,
+    express_in_terms, detmap_injective,
 )
 
 
@@ -189,24 +189,3 @@ def test_zero_determinant_map(catalan_ring):
     assert prob.det.is_zero() or \
         ctx.defining.contains_poly(prob.det)
     assert not detmap_injective(prob)
-
-
-def test_theoremC_report(catalan_ring):
-    ctx = catalan_ring.ctx
-    u, v = catalan_ring.extras["u"], catalan_ring.extras["v"]
-    X = catalan_ring.sop
-    rep = theoremC_check(X, SequenceInR([X.entries[0] + u, u, v], ctx),
-                         ell=1, equidimensional=True)
-    assert rep.y_is_sop and rep.injective and rep.agree
-    assert rep.x_deep_enough
-    assert rep.warnings == []
-    rep2 = theoremC_check(X, SequenceInR([u, u, v], ctx), ell=2)
-    assert not rep2.y_is_sop and not rep2.injective and rep2.agree
-    assert "equidimensionality not asserted" in rep2.warnings
-    assert any("m^2" in w for w in rep2.warnings)
-    assert not rep2.x_deep_enough
-
-
-def test_theoremC_requires_x_sop(catalan_ring):
-    with pytest.raises(ValueError):
-        theoremC_check(catalan_ring.extras["yuv"], catalan_ring.sop)

@@ -5,9 +5,12 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from limclose.polycore import Polynomial, GREVLEX
+from limclose.polycore import (
+    Polynomial, MonomialOrder, GREVLEX, mono_div, mono_lcm,
+)
 from limclose.groebner import (
-    buchberger, normal_form, ideal_member, ideal_equal,
+    GroebnerBasis, buchberger, normal_form, reduce_basis, ideal_member,
+    ideal_equal,
 )
 
 from oracles import member_oracle
@@ -148,6 +151,66 @@ def test_membership_agrees_with_linear_algebra_oracle():
                     acc = acc + c * g
                 assert acc.terms == f.terms
     assert checked_members >= 10 and checked_non >= 10
+
+
+def criterion_free_buchberger(gens, order, cap):
+    """Reference basis: reduce the S-polynomial of every two elements, with
+    no pair criterion; None once the basis outgrows `cap` elements."""
+    basis = [g for g in gens if not g.is_zero()]
+    pairs = [(i, j) for i in range(len(basis)) for j in range(i)]
+    while pairs:
+        i, j = pairs.pop()
+        (mi, ci), (mj, cj) = basis[i].lead(order), basis[j].lead(order)
+        m = mono_lcm(mi, mj)
+        s = (basis[i].term_mul(mono_div(m, mi), cj)
+             - basis[j].term_mul(mono_div(m, mj), ci))
+        r = normal_form(s, basis, order).remainder
+        if not r.is_zero():
+            if len(basis) == cap:
+                return None
+            pairs += [(len(basis), k) for k in range(len(basis))]
+            basis.append(r)
+    return reduce_basis(GroebnerBasis(basis, order))
+
+
+def test_pair_update_agrees_with_criterion_free_buchberger():
+    """The pair criteria drop only pairs whose S-polynomials the remaining
+    ones already account for: same reduced basis as reducing every pair,
+    tracked or not, and tracked rows still recombine to their generators."""
+    rng = random.Random(7)
+    compared = 0
+    for trial in range(150):
+        nvars = 2 + trial % 3
+        vars = VARS[:nvars] if nvars < 4 else VARS + ("w",)
+        perm = list(range(nvars))
+        rng.shuffle(perm)
+        order = [GREVLEX, MonomialOrder.lex(),
+                 MonomialOrder.block(1, perm=perm),
+                 MonomialOrder.lazard()][trial % 4]
+        gens = []
+        for _ in range(rng.randint(2, 4)):
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                # no constant term: the ideals stay proper
+                e = tuple(rng.randint(0, 2) for _ in vars)
+                if any(e):
+                    terms[e] = terms.get(e, 0) + rng.choice([-3, -1, 1, 2])
+            gens.append(Polynomial(vars, terms))
+        ref = criterion_free_buchberger(gens, order, cap=14)
+        if ref is None:
+            continue
+        compared += 1
+        want = [g.terms for g in ref.generators]
+        assert [g.terms for g in buchberger(gens, order).generators] == want, \
+            f"trial {trial}"
+        tracked = buchberger(gens, order, track=True)
+        assert [g.terms for g in tracked.generators] == want, f"trial {trial}"
+        for g, row in zip(tracked.generators, tracked.origin_cofactors):
+            acc = Polynomial.zero(vars)
+            for c, f in zip(row, gens):
+                acc = acc + c * f
+            assert acc.terms == g.terms, f"trial {trial}"
+    assert compared >= 120
 
 
 def test_known_basis_textbook_example():

@@ -1,8 +1,10 @@
 """The runnable experiments in `scripts/` import the library directly, so a
 change of a signature they call breaks them without breaking any other
 test.  Each runs here in a fresh interpreter (about 2 s in all) and must
-exit 0 reporting the values its docstring promises."""
+exit 0 reporting the values its docstring promises; `catalan_table` is also
+imported, to check that a mismatching row makes it exit 1."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +24,16 @@ def test_catalan_table_rows_match_the_closed_form():
     out = run_script("catalan_table.py", "3")
     assert out.count("matches") == 3
     assert "MISMATCH" not in out
+
+
+def test_catalan_table_exits_1_on_a_mismatch(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location(
+        "catalan_table", ROOT / "scripts" / "catalan_table.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "local_equal", lambda *args: False)
+    assert script.main(1) == 1
+    assert "MISMATCH" in capsys.readouterr().out
 
 
 def test_topology_scan_demo_verdicts():
