@@ -1,11 +1,24 @@
 """Buchberger's algorithm, multivariate division with cofactor tracking,
 reduced canonical bases, ideal membership and equality.
 
-Determinism: divisors are tried in list order with the leading term reduced
-first.  Each new basis element passes through one Gebauer-Moeller update,
-which decides once which of its pairs are queued and which queued pairs are
-dropped; the queued S-pairs are then processed by minimal lcm degree, ties
-broken by pair indices.
+Inside the kernel a monomial is two ints (Monagan & Pearce 2011, "Sparse
+polynomial division using a heap").  The packed exponent vector holds one
+bit field per variable, and the top bit of each field is a guard bit that
+stays clear: a product is a sum, a quotient a difference, and a | b exactly
+when b - a sets no guard bit.  The order key folds the order's integer
+weight rows (`MonomialOrder.rows`) into one int with a radix wider than any
+row value, so keys compare like `MonomialOrder.key` and add like the
+exponents.  A run packs its inputs once and unpacks only the reduced basis
+it returns; a field that would overflow restarts the run with wider
+fields.  Every basis element is kept integer-primitive, its cofactor row
+scaled alike, so division never meets a fraction.
+
+Determinism: the division heap pops terms by descending int key, and
+divisors are tried in list order.  Each new basis element passes through
+one Gebauer-Moeller update, which decides once which of its pairs are
+queued and which queued pairs are dropped; the queued S-pairs are then
+processed by minimal lcm degree, ties broken by pair indices.  Field width
+changes neither choice, so a widened run gives the same basis.
 """
 
 from __future__ import annotations
@@ -13,12 +26,11 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
+from operator import itemgetter, mul
 
-from .polycore import (
-    Polynomial, MonomialOrder, GREVLEX,
-    mono_mul, mono_div, mono_divides, mono_lcm, mono_degree, mono_coprime,
-)
+from .polycore import Polynomial, MonomialOrder, GREVLEX
 
 
 @dataclass
@@ -37,61 +49,163 @@ class GroebnerBasis:
 
     def __post_init__(self):
         self._leads = None
-        self._primitives = None
+        self._packed = None    # (packing, reducers of the generators)
 
     def leads(self):
         if self._leads is None:
             self._leads = [g.lead(self.order)[0] for g in self.generators]
         return self._leads
 
-    def primitives(self):
-        """Integer-primitive multiples of the generators, which divide like
-        the generators themselves (same leads, same remainders)."""
-        if self._primitives is None:
-            self._primitives = [g.primitive() for g in self.generators]
-        return self._primitives
+    def _reducers(self, bits):
+        """(packing, reducers): the generators' integer-primitive multiples
+        packed with fields of at least `bits` bits, kept for the widest
+        packing built so far."""
+        if self._packed is None or self._packed[0].bits < bits:
+            packing = _packing(self.order, len(self.generators[0].vars), bits)
+            self._packed = (packing, [_reducer(packing.pack(g)[0])
+                                      for g in self.generators])
+        return self._packed
 
 
-def normal_form(f, divisors, order, track=False, leads=None):
-    """Deterministic multivariate division of f by the divisor list, in
-    integer arithmetic; with `track`, also the quotient of each divisor.
-    `leads`, when given, are the leading monomials of the divisors, which
-    must then have integer coefficients only: no divisor is scanned,
-    replaced or asked for its lead.
+class _Overflow(Exception):
+    """An exponent reached a guard bit: rerun with wider fields."""
+
+
+class _Packing:
+    """Monomials over n variables as (packed exponents, order key) ints."""
+
+    def __init__(self, order, n, bits):
+        self.bits = bits
+        self.shifts = range(0, n * bits, bits)
+        cap = 1 << (bits - 1)
+        self.low = cap - 1                  # largest exponent a field holds
+        self.guard = sum(cap << s for s in self.shifts)
+        rows = order.rows(n)
+        radix = self.low * max((sum(map(abs, r)) for r in rows), default=0) + 1
+        self.coefs = [sum(r[i] * radix ** (len(rows) - 1 - k)
+                          for k, r in enumerate(rows)) for i in range(n)]
+
+    def unpack(self, m):
+        return tuple((m >> s) & self.low for s in self.shifts)
+
+    def key(self, m):
+        return sum(map(mul, self.coefs, self.unpack(m)))
+
+    def degree(self, m):
+        return sum(self.unpack(m))
+
+    def lcm(self, a, b):
+        guard = self.guard
+        ge = ((a | guard) - b) & guard      # guard set where a_i >= b_i
+        mask = ge - (ge >> (self.bits - 1))  # low bits of those fields
+        return (a & mask) | (b & ~mask)
+
+    def pack(self, p):
+        """(terms, r): the integer-primitive multiple r * p as a list of
+        (packed monomial, key, coefficient), leading term first."""
+        if not p.terms:
+            return [], 1
+        low, shifts, coefs = self.low, self.shifts, self.coefs
+        den = lcm(*(c.denominator for c in p.terms.values()))
+        ints = [c.numerator * (den // c.denominator) for c in p.terms.values()]
+        content = gcd(*ints)
+        terms = []
+        for e, c in zip(p.terms, ints):
+            if e and max(e) > low:
+                raise _Overflow
+            terms.append((sum(x << s for x, s in zip(e, shifts)),
+                          sum(map(mul, coefs, e)), c // content))
+        terms.sort(key=itemgetter(1), reverse=True)
+        return terms, _ratio(den, content)
+
+    def unpack_poly(self, vars, terms, r=1):
+        """The Polynomial r * terms."""
+        unpack = self.unpack
+        return Polynomial(vars, {unpack(m): c * r for m, _, c in terms})
+
+
+_packing = lru_cache(maxsize=64)(_Packing)     # shared, never mutated
+
+
+def _ratio(a, b):
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _bits(polys):
+    """Field width that holds every exponent of polys with room for
+    products: at least 8 bits, guard included."""
+    top = max((x for p in polys for e in p.terms for x in e), default=0)
+    return max(8, top.bit_length() + 2)
+
+
+def _widening(bits, run):
+    """run(bits), doubling the width after each overflow."""
+    while True:
+        try:
+            return run(bits)
+        except _Overflow:
+            bits *= 2
+
+
+def _reducer(terms, quot=None):
+    """(lead, lead key, lead coefficient, tail, quot) of a non-zero packed
+    polynomial; division collects the quotient by it into the dict `quot`,
+    when there is one."""
+    m, k, c = terms[0]
+    return m, k, c, terms[1:], quot
+
+
+def _tracking(reducers):
+    """The reducers, each with a fresh quotient dict."""
+    return [r[:4] + ({},) for r in reducers]
+
+
+def _primitive(terms):
+    """(terms divided by their positive integer content, the content)."""
+    content = gcd(*(c for _, _, c in terms))
+    if content == 1:
+        return terms, 1
+    return [(m, k, c // content) for m, k, c in terms], content
+
+
+def _divide(guard, terms, reducers):
+    """Fraction-free division of a packed integer polynomial, given as
+    (monomial, key, coefficient) triples that may repeat a monomial and may
+    have overflowed (as sums of packed monomials), by integer reducers tried
+    in list order.  Returns (remainder, S) with
+    S * input = sum(quotient_i * reducer_i) + remainder, the remainder a
+    descending list of triples; a reducer's quotient goes into its dict, if
+    it has one.
 
     The working polynomial is kept as S * (true value) for a running integer
     scale S: dividing a term by a leading coefficient that does not divide it
-    exactly rescales everything instead of introducing fractions.  Divisors
-    with fractional coefficients are replaced by their integer-primitive
-    multiples p_i = r_i * g_i, which cancel the same terms.  The quotients by
-    the p_i are collected at the same scale S; at the end each is divided by
-    S and multiplied by r_i, and the remainder is divided by S.
+    exactly rescales everything instead of introducing fractions.
     """
-    vars = f.vars
-    given = divisors
-    scale = 1
-    for c in f.terms.values():
-        if isinstance(c, Fraction):
-            scale = lcm(scale, c.denominator)
-    work = {e: int(c * scale) for e, c in f.terms.items()}
-    if leads is None:
-        leads = [g.lead(order)[0] for g in divisors]
-        if any(isinstance(c, Fraction)
-               for g in divisors for c in g.terms.values()):
-            divisors = [g.primitive() for g in divisors]
+    work = {}
+    heap = []
+    for m, k, c in terms:
+        if m & guard:
+            raise _Overflow
+        old = work.get(m)
+        if old is None:
+            work[m] = c
+            heap.append((-k, m))
+        elif old + c:
+            work[m] = old + c
+        else:
+            del work[m]
+    heapq.heapify(heap)
     remainder = {}
-    cof = [{} if track else None for _ in divisors]
-    reducers = [(m, g.terms[m], g, d) for m, g, d in zip(leads, divisors, cof)]
+    rem_keys = []
     # every dict held at scale S: rescaled and divided together
-    scaled = [work, remainder] + (cof if track else [])
-    negkey = order.negkey
+    scaled = [work, remainder] + [r[4] for r in reducers if r[4] is not None]
+    scale = 1
+    rescales = 0
     # lazy max-heap over the working terms: stale entries (monomials no
     # longer present in work) are skipped on pop
-    heap = [(negkey(m), m) for m in work]
-    heapq.heapify(heap)
-    rescales = 0
     while heap:
-        _, m = heapq.heappop(heap)
+        nk, m = heapq.heappop(heap)
         c = work.pop(m, None)
         if c is None:
             continue
@@ -105,60 +219,90 @@ def normal_form(f, divisors, order, track=False, leads=None):
                 for d in scaled:
                     for e in d:
                         d[e] //= g0
-        for lm, lc, g, quot in reducers:
-            if mono_divides(lm, m):
-                if lc == 1:
-                    q = c
-                elif lc == -1:
-                    q = -c
-                else:
-                    q, rr = divmod(c, lc)
-                    if rr:
-                        t = abs(lc // gcd(c, lc))
-                        scale *= t
-                        c *= t
-                        for d in scaled:
-                            for e in d:
-                                d[e] *= t
-                        q = c // lc
-                        rescales += 1
-                q_exp = mono_div(m, lm)
-                for e, gc in g.terms.items():
-                    if e == lm:
-                        continue
-                    me = mono_mul(e, q_exp)
-                    old = work.get(me, 0)
-                    s = old - q * gc
-                    if s:
-                        work[me] = s
-                        if not old:
-                            heapq.heappush(heap, (negkey(me), me))
-                    else:
-                        work.pop(me, None)
-                if quot is not None:
-                    quot[q_exp] = q
+        for red in reducers:
+            if not (m - red[0]) & guard:
                 break
         else:
             remainder[m] = c
-    if scale != 1:
-        remainder = {e: Fraction(c, scale) for e, c in remainder.items()}
-    quotients = []
-    if track:
-        for (lm, lc, _, quot), g in zip(reducers, given):
-            r = Fraction(lc, scale) / g.terms[lm]
-            quotients.append(
-                Polynomial(vars, {e: v * r for e, v in quot.items()}))
-    return Cofactors(Polynomial(vars, remainder), quotients)
+            rem_keys.append(-nk)
+            continue
+        lm, lk, lc, tail, quot = red
+        if lc == 1:
+            q = c
+        elif lc == -1:
+            q = -c
+        else:
+            q, rr = divmod(c, lc)
+            if rr:
+                t = abs(lc // gcd(c, lc))
+                scale *= t
+                c *= t
+                for d in scaled:
+                    for e in d:
+                        d[e] *= t
+                q = c // lc
+                rescales += 1
+        qm = m - lm
+        base = nk + lk                      # minus the quotient's key
+        for e, ek, gc in tail:
+            me = qm + e
+            if me & guard:
+                raise _Overflow
+            old = work.get(me, 0)
+            s = old - q * gc
+            if s:
+                work[me] = s
+                if not old:
+                    heapq.heappush(heap, (base - ek, me))
+            else:
+                del work[me]
+        if quot is not None:
+            quot[qm] = q
+    return list(zip(remainder, rem_keys, remainder.values())), scale
 
 
-def _row_sum(pairs, width, vars):
-    """sum(multiplier * row) over (multiplier, cofactor row) pairs: a row of
-    `width` polynomials over the input generators."""
-    out = [Polynomial.zero(vars)] * width
-    for mult, row in pairs:
-        if not mult.is_zero():
-            out = [a + mult * r for a, r in zip(out, row)]
-    return out
+def normal_form(f, divisors, order, track=False):
+    """Deterministic multivariate division of f by the non-zero divisor
+    list, in integer arithmetic; with `track`, also the quotient of each
+    divisor.  The divisors are replaced by their integer-primitive
+    multiples p_i = r_i * g_i, which cancel the same terms, and f by r * f;
+    the quotients q_i by the p_i, collected at the division's scale S, give
+    q_i * r_i / (S * r) for g_i, and the remainder is divided by S * r."""
+    vars = f.vars
+
+    def run(bits):
+        packing = _packing(order, len(vars), bits)
+        packed = [packing.pack(g) for g in divisors]
+        reducers = [_reducer(t, {} if track else None) for t, _ in packed]
+        work, r = packing.pack(f)
+        rem, scale = _divide(packing.guard, work, reducers)
+        inv = _ratio(1, scale * r)
+        quotients = []
+        if track:
+            unpack = packing.unpack
+            quotients = [Polynomial(vars, {unpack(m): c * ri * inv
+                                           for m, c in red[4].items()})
+                         for red, (_, ri) in zip(reducers, packed)]
+        return Cofactors(packing.unpack_poly(vars, rem, inv), quotients)
+
+    return _widening(_bits([f] + list(divisors)), run)
+
+
+def _row_sum(parts, width, guard, content):
+    """sum(multiplier * row) / content over (multiplier, cofactor row)
+    pairs, each multiplier a packed {monomial: coefficient} dict, each row
+    `width` such dicts over the input generators."""
+    out = [{} for _ in range(width)]
+    for mult, row in parts:
+        for acc, entry in zip(out, row):
+            for e1, c1 in mult.items():
+                for e2, c2 in entry.items():
+                    e = e1 + e2
+                    if e & guard:
+                        raise _Overflow
+                    acc[e] = acc.get(e, 0) + c1 * c2
+    return [{e: _ratio(c, content) for e, c in acc.items() if c}
+            for acc in out]
 
 
 def buchberger(gens, order=GREVLEX, track=False):
@@ -167,8 +311,17 @@ def buchberger(gens, order=GREVLEX, track=False):
     With `track`, every basis element carries a cofactor row with one entry
     per input generator, zero generators included.
     """
+    gens = list(gens)
+    if all(g.is_zero() for g in gens):
+        return GroebnerBasis([], order, origin_cofactors=[] if track else None)
+    return _widening(_bits(gens), lambda bits: _buchberger(
+        gens, _packing(order, len(gens[0].vars), bits), order, track))
+
+
+def _buchberger(gens, packing, order, track):
+    guard = packing.guard
     n_orig = len(gens)
-    basis = []
+    reducers = []      # one per basis element (see _reducer)
     rows = []          # cofactor rows over the input gens
     leads = []         # leading monomial of each basis element
     active = []        # indices new pairs may use (see _update)
@@ -177,114 +330,159 @@ def buchberger(gens, order=GREVLEX, track=False):
     for k, g in enumerate(gens):
         if g.is_zero():
             continue
+        terms, r = packing.pack(g)
+        reducers.append(_reducer(terms))
         if track:
-            basis.append(g)
-            rows.append([Polynomial.constant(int(t == k), g.vars)
-                         for t in range(n_orig)])
-        else:
-            basis.append(g.primitive())
-        leads.append(g.lead(order)[0])
-        active = _update(leads, active, pairs, dead)
-    if not basis:
-        return GroebnerBasis([], order, origin_cofactors=[] if track else None)
-    vars = basis[0].vars
+            rows.append([{0: r} if t == k else {} for t in range(n_orig)])
+        leads.append(terms[0][0])
+        active = _update(packing, leads, active, pairs, dead)
 
     while pairs:
-        _, j, i, lcm = heapq.heappop(pairs)
+        _, j, i, m = heapq.heappop(pairs)
         if (j, i) in dead:
             continue
-        gi, gj = basis[i], basis[j]
-        ti, tj = mono_div(lcm, leads[i]), mono_div(lcm, leads[j])
+        lmi, lki, lci, taili, _ = reducers[i]
+        lmj, lkj, lcj, tailj, _ = reducers[j]
+        mk = packing.key(m)
         # s = ci*ti*gi - cj*tj*gj cancels the two leading terms
-        ci, cj = gj.terms[leads[j]], gi.terms[leads[i]]
-        s = gi.term_mul(ti, ci) - gj.term_mul(tj, cj)
-        if s.is_zero():
+        g0 = gcd(lci, lcj)
+        ci, cj = lcj // g0, lci // g0
+        ti, tj = m - lmi, m - lmj
+        tki, tkj = mk - lki, mk - lkj
+        s = [(ti + e, tki + k, ci * c) for e, k, c in taili]
+        s += [(tj + e, tkj + k, -cj * c) for e, k, c in tailj]
+        divisors = _tracking(reducers) if track else reducers
+        rem, scale = _divide(guard, s, divisors)
+        if not rem:
             continue
-        # untracked elements are primitive integer polynomials already
-        nf = normal_form(s, basis, order, track=track,
-                         leads=None if track else leads)
-        r = nf.remainder
-        if r.is_zero():
-            continue
+        rem, content = _primitive(rem)
         if track:
-            # r = ci*ti*gi - cj*tj*gj - sum(q_k g_k); push down to input gens
-            mults = [(Polynomial.monomial(ti, vars, ci), rows[i]),
-                     (Polynomial.monomial(tj, vars, -cj), rows[j])]
-            mults += [(-q, rows[k]) for k, q in enumerate(nf.coefficients)]
-            basis.append(r)
-            rows.append(_row_sum(mults, n_orig, vars))
-        else:
-            basis.append(r.primitive())
-        leads.append(r.lead(order)[0])
-        active = _update(leads, active, pairs, dead)
+            # content * p = scale * s - sum(q_k g_k) for the new element p;
+            # push down to input gens
+            parts = [({ti: scale * ci}, rows[i]), ({tj: -scale * cj}, rows[j])]
+            parts += [({e: -c for e, c in red[4].items()}, row)
+                      for red, row in zip(divisors, rows) if red[4]]
+            rows.append(_row_sum(parts, n_orig, guard, content))
+        reducers.append(_reducer(rem))
+        leads.append(rem[0][0])
+        active = _update(packing, leads, active, pairs, dead)
 
-    return reduce_basis(
-        GroebnerBasis(basis, order, origin_cofactors=rows if track else None))
+    return _unpack_basis(packing, order, gens[0].vars,
+                         *_reduce(packing, reducers, rows if track else None))
 
 
-def _update(leads, active, pairs, dead):
+def _unpack_basis(packing, order, vars, basis, rows):
+    """GroebnerBasis of the monic forms of packed primitive reducers, with
+    their cofactor rows (or None) divided alike; it keeps the reducers."""
+    unpack = packing.unpack
+    out = []
+    out_rows = []
+    for (lm, lk, lc, tail, _), row in zip(basis, rows or basis):
+        inv = _ratio(1, lc)
+        out.append(packing.unpack_poly(vars, [(lm, lk, lc)] + tail, inv))
+        if rows is not None:
+            out_rows.append([Polynomial(vars, {unpack(e): c * inv
+                                               for e, c in entry.items()})
+                             for entry in row])
+    gb = GroebnerBasis(out, order,
+                       origin_cofactors=out_rows if rows is not None else None)
+    gb._packed = (packing, basis)
+    return gb
+
+
+def _update(packing, leads, active, pairs, dead):
     """Gebauer-Moeller update for the newest element h, of lead leads[-1]
     (Becker-Weispfenning, Groebner Bases, 5.5, UPDATE); returns the new
     active list.  Every element stays a reducer; only pairs read `active`.
 
     - Criteria M and F: of the pairs (h, g), g active, drop one whose lcm
-      another remaining pair's lcm divides.  Pairs with coprime leads are
-      dropped only after that (product criterion): they still drop others.
+      another remaining pair's lcm divides.  Pairs with coprime leads
+      (lcm = product) are dropped only after that (product criterion):
+      they still drop others.
     - Criterion B: a queued pair (g1, g2) dies when lead(h) divides its lcm
       and neither lcm(g1, h) nor lcm(g2, h) equals it.
     - An active element whose lead lead(h) divides is retired.
     """
+    guard = packing.guard
+    lcm_of = packing.lcm
     i = len(leads) - 1
     mh = leads[i]
-    new = [(mono_lcm(mh, leads[j]), j) for j in active]
-    kept = []
-    for n, (m, j) in enumerate(new):
-        if mono_coprime(mh, leads[j]) or not any(
-                mono_divides(m2, m) for m2, _ in new[n + 1:] + kept):
-            kept.append((m, j))
     for _, j, k, m in pairs:
-        if (mono_divides(mh, m) and m != mono_lcm(leads[j], mh)
-                and m != mono_lcm(leads[k], mh)):
+        if (not (m - mh) & guard and m != lcm_of(leads[j], mh)
+                and m != lcm_of(leads[k], mh)):
             dead.add((j, k))
-    for m, j in kept:
-        if not mono_coprime(mh, leads[j]):
-            heapq.heappush(pairs, (mono_degree(m), j, i, m))
-    return [j for j in active if not mono_divides(mh, leads[j])] + [i]
+    new = [lcm_of(mh, leads[j]) for j in active]
+    kept = []
+    for n, (m, j) in enumerate(zip(new, active)):
+        coprime = m == mh + leads[j]
+        if coprime or not any(
+                not (m - m2) & guard for m2 in new[n + 1:] + kept):
+            kept.append(m)
+            if not coprime:
+                heapq.heappush(pairs, (packing.degree(m), j, i, m))
+    return [j for j in active if (leads[j] - mh) & guard] + [i]
 
 
-def reduce_basis(gb):
-    """Unique reduced Groebner basis of a basis of non-zero generators:
-    minimal, monic, tail-reduced, sorted by leading monomial (ascending)."""
-    order = gb.order
-    gens = gb.generators
-    rows = gb.origin_cofactors
-    track = rows is not None
-    leads = [g.lead(order)[0] for g in gens]
+def _reduce(packing, reducers, rows):
+    """Reduced basis, as primitive reducers with their cofactor rows (or
+    None), of packed primitive reducers: minimal, tail-reduced, sorted by
+    leading monomial (ascending)."""
+    guard = packing.guard
+    leads = [r[0] for r in reducers]
     # minimalize: drop generators whose lead is divisible by another's lead
     keep = [i for i, m in enumerate(leads)
-            if not any(mono_divides(mj, m) and (mj != m or j < i)
+            if not any(not (m - mj) & guard and (mj != m or j < i)
                        for j, mj in enumerate(leads) if j != i)]
-    keep.sort(key=lambda i: order.key(leads[i]))
+    keep.sort(key=lambda i: reducers[i][1])
     # tail-reduce in ascending order of the (distinct, irreducible) leads,
     # so each remainder keeps its lead and the list stays sorted
     reduced = []
     red_rows = []
     for n, i in enumerate(keep):
         tail = keep[n + 1:]
-        nf = normal_form(gens[i], reduced + [gens[k] for k in tail], order,
-                         track=track)
-        inv = Fraction(1) / nf.remainder.lead(order)[1]
-        reduced.append(nf.remainder * inv)
-        if track:
-            # r = g - sum(q_k * others_k): rows of the reduced prefix are
-            # known, the tail still has its input rows
-            vars = gens[i].vars
+        lm, lk, lc, rest, _ = reducers[i]
+        divisors = reduced + [reducers[k] for k in tail]
+        if rows is not None:
+            divisors = _tracking(divisors)
+        rem, scale = _divide(guard, [(lm, lk, lc)] + rest, divisors)
+        rem, content = _primitive(rem)
+        reduced.append(_reducer(rem))
+        if rows is not None:
+            # content * p = scale * g - sum(q_k * others_k) for the reduced
+            # p: rows of the reduced prefix are known, the tail still has
+            # its input rows
             others = red_rows + [rows[k] for k in tail]
-            mults = [(Polynomial.constant(inv, vars), rows[i])]
-            mults += [(q * -inv, r) for q, r in zip(nf.coefficients, others)]
-            red_rows.append(_row_sum(mults, len(rows[i]), vars))
-    return GroebnerBasis(reduced, order,
-                         origin_cofactors=red_rows if track else None)
+            parts = [({0: scale}, rows[i])]
+            parts += [({e: -c for e, c in red[4].items()}, r)
+                      for red, r in zip(divisors, others) if red[4]]
+            red_rows.append(_row_sum(parts, len(rows[i]), guard, content))
+    return reduced, red_rows if rows is not None else None
+
+
+def reduce_basis(gb):
+    """Unique reduced Groebner basis of a basis of non-zero generators:
+    minimal, monic, tail-reduced, sorted by leading monomial (ascending)."""
+    gens = gb.generators
+    rows = gb.origin_cofactors
+    if not gens:
+        return GroebnerBasis([], gb.order, origin_cofactors=rows)
+    vars = gens[0].vars
+
+    def run(bits):
+        packing = _packing(gb.order, len(vars), bits)
+        reducers = []
+        packed_rows = []
+        for g, row in zip(gens, rows or gens):
+            terms, r = packing.pack(g)
+            reducers.append(_reducer(terms))
+            if rows is not None:
+                packed_rows.append([
+                    {m: _ratio(c * r, re) for m, _, c in t}
+                    for t, re in map(packing.pack, row)])
+        return _unpack_basis(packing, gb.order, vars, *_reduce(
+            packing, reducers, packed_rows if rows is not None else None))
+
+    return _widening(_bits(gens), run)
 
 
 def ideal_member(f, gb):
@@ -295,14 +493,24 @@ def ideal_member(f, gb):
     """
     rows = gb.origin_cofactors
     if rows is None:
-        nf = normal_form(f, gb.primitives(), gb.order, leads=gb.leads())
-        return nf.remainder.is_zero(), None
+        if not gb.generators:
+            return f.is_zero(), None
+
+        def run(bits):
+            packing, reducers = gb._reducers(bits)
+            rem, _ = _divide(packing.guard, packing.pack(f)[0], reducers)
+            return not rem, None
+
+        return _widening(_bits([f]), run)
     nf = normal_form(f, gb.generators, gb.order, track=True)
     if not nf.remainder.is_zero():
         return False, None
     width = len(rows[0]) if rows else 0
-    return True, Cofactors(nf.remainder,
-                           _row_sum(zip(nf.coefficients, rows), width, f.vars))
+    coefficients = [Polynomial.zero(f.vars)] * width
+    for q, row in zip(nf.coefficients, rows):
+        if not q.is_zero():
+            coefficients = [a + q * r for a, r in zip(coefficients, row)]
+    return True, Cofactors(nf.remainder, coefficients)
 
 
 def ideal_equal(gb1, gb2):

@@ -9,6 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
+from operator import le
 
 
 class VariableMismatch(ValueError):
@@ -25,24 +26,11 @@ def mono_mul(a, b):
 
 def mono_divides(a, b):
     """True if a | b, i.e. a[i] <= b[i] for all i."""
-    return all(x <= y for x, y in zip(a, b))
-
-
-def mono_div(a, b):
-    """a / b, assuming b | a."""
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_degree(a):
     return sum(a)
-
-
-def mono_coprime(a, b):
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
 class MonomialOrder:
@@ -110,12 +98,29 @@ class MonomialOrder:
         head, tail = exps[: self.elim], exps[self.elim:]
         return (self._grevlex_key(head), self._grevlex_key(tail))
 
-    def negkey(self, exps):
-        """Key reversing the order: min-heaps keyed by negkey pop the
-        leading monomial first.  Valid because keys of monomials over a
-        fixed ring share their tuple shape, so componentwise negation
-        reverses the lexicographic comparison."""
-        return _neg_key(self.key(exps))
+    def rows(self, n):
+        """Integer weight rows over n variables: comparing the tuples of
+        row . exps lexicographically compares like `key`, and the rows have
+        full rank, so the tuple determines the monomial."""
+        def unit(i, sign=1):
+            return [sign * (j == i) for j in range(n)]
+
+        def grevlex(lo, hi):
+            return ([[int(lo <= j < hi) for j in range(n)]]
+                    + [unit(i, -1) for i in reversed(range(lo, hi))])
+
+        if self.kind == "lex":
+            rows = [unit(i) for i in range(n)]
+        elif self.kind == "grevlex":
+            rows = grevlex(0, n)
+        elif self.kind == "lazard":
+            rows = [[1] * n, unit(n - 1)] + grevlex(0, n - 1)
+        else:
+            head = min(self.elim, n)
+            rows = grevlex(0, head) + grevlex(head, n)
+        if self.perm is not None:
+            rows = [[r[p] for p in self.perm] for r in rows]
+        return rows
 
     def __eq__(self, other):
         return (isinstance(other, MonomialOrder)
@@ -128,12 +133,6 @@ class MonomialOrder:
         if self.kind == "block":
             return f"MonomialOrder.block({self.elim})"
         return f"MonomialOrder.{self.kind}()"
-
-
-def _neg_key(k):
-    if isinstance(k, tuple):
-        return tuple(_neg_key(x) for x in k)
-    return -k
 
 
 GREVLEX = MonomialOrder.grevlex()

@@ -290,8 +290,9 @@ def test_cli_missing_file_exit_one(tmp_path):
 
 
 def test_cli_timeout_exit_three():
+    # ij(C, S, 6) takes well over the 1 s limit (about 17 s on a 2-vCPU VM)
     text = ("ring C = QQ[x, y, u, v] / (x*y - u*x^2 - v*y^2);"
-            " seq S = [x + y, u, v]; show ij(C, S, 4);")
+            " seq S = [x + y, u, v]; show ij(C, S, 6);")
     proc = run_cli(["-", "--timeout-secs", "1"], stdin_text=text)
     assert proc.returncode == 3
     assert "timeout" in proc.stderr

@@ -5,12 +5,11 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from limclose.polycore import (
-    Polynomial, MonomialOrder, GREVLEX, mono_div, mono_lcm,
-)
+from limclose import groebner
+from limclose.polycore import Polynomial, MonomialOrder, GREVLEX
 from limclose.groebner import (
-    GroebnerBasis, buchberger, normal_form, reduce_basis, ideal_member,
-    ideal_equal,
+    Cofactors, GroebnerBasis, buchberger, normal_form, reduce_basis,
+    ideal_member, ideal_equal,
 )
 
 from oracles import member_oracle
@@ -120,6 +119,32 @@ def test_membership_certificate_recombines():
         assert recombine(cert, gens).terms == f.terms
 
 
+def test_reduce_basis_of_a_scaled_redundant_tracked_basis():
+    """reduce_basis of rescaled reduced generators plus a redundant element
+    gives the reduced basis back, and its rows still recombine."""
+    rng = random.Random(23)
+    for _ in range(20):
+        gens = [p for p in rand_ideal(rng) if not p.is_zero()]
+        gb = buchberger(gens, GREVLEX, track=True)
+        if len(gb.generators) < 2:
+            continue
+        scales = [Fraction(rng.choice([-3, 2, 5]), rng.choice([1, 4, 7]))
+                  for _ in gb.generators]
+        basis = [g * c for g, c in zip(gb.generators, scales)]
+        rows = [[r * c for r in row]
+                for row, c in zip(gb.origin_cofactors, scales)]
+        x = Polynomial.variable("x", VARS)
+        basis.append(x * (basis[0] + basis[1]))
+        rows.append([x * (a + b) for a, b in zip(rows[0], rows[1])])
+        out = reduce_basis(
+            GroebnerBasis(basis, GREVLEX, origin_cofactors=rows))
+        assert [g.terms for g in out.generators] == \
+            [g.terms for g in gb.generators]
+        for g, row in zip(out.generators, out.origin_cofactors):
+            assert recombine(Cofactors(Polynomial.zero(VARS), row),
+                             gens).terms == g.terms
+
+
 def test_membership_agrees_with_linear_algebra_oracle():
     rng = random.Random(2024)
     checked_members = checked_non = 0
@@ -161,9 +186,9 @@ def criterion_free_buchberger(gens, order, cap):
     while pairs:
         i, j = pairs.pop()
         (mi, ci), (mj, cj) = basis[i].lead(order), basis[j].lead(order)
-        m = mono_lcm(mi, mj)
-        s = (basis[i].term_mul(mono_div(m, mi), cj)
-             - basis[j].term_mul(mono_div(m, mj), ci))
+        m = tuple(map(max, mi, mj))
+        s = (basis[i].term_mul(tuple(a - b for a, b in zip(m, mi)), cj)
+             - basis[j].term_mul(tuple(a - b for a, b in zip(m, mj)), ci))
         r = normal_form(s, basis, order).remainder
         if not r.is_zero():
             if len(basis) == cap:
@@ -211,6 +236,83 @@ def test_pair_update_agrees_with_criterion_free_buchberger():
                 acc = acc + c * f
             assert acc.terms == g.terms, f"trial {trial}"
     assert compared >= 120
+
+
+def test_packed_keys_agree_with_order_keys():
+    """The folded int key orders monomials exactly as MonomialOrder.key and
+    tells them apart, exponents at the field limit included; packing
+    round-trips, and the packed lcm, product and divisibility test are the
+    componentwise ones."""
+    rng = random.Random(17)
+    for trial in range(400):
+        n = 1 + trial % 6
+        perm = list(range(n))
+        rng.shuffle(perm)
+        order = [MonomialOrder.grevlex(perm=perm),
+                 MonomialOrder.lex(perm=perm),
+                 MonomialOrder.block(rng.randint(1, n), perm=perm),
+                 MonomialOrder.lazard()][trial % 4]
+        packing = groebner._Packing(order, n, rng.choice([3, 4, 8, 13]))
+        low = packing.low
+        vars = tuple(f"v{i}" for i in range(n))
+        monos = {tuple(rng.choice([0, 1, low - 1, low, rng.randint(0, low)])
+                       for _ in range(n)) for _ in range(12)}
+        packed = {}
+        for e in monos:
+            [(m, k, _)], _ = packing.pack(Polynomial(vars, {e: 1}))
+            assert packing.unpack(m) == e and packing.key(m) == k
+            packed[e] = m, k
+        for a, (ma, ka) in packed.items():
+            for b, (mb, kb) in packed.items():
+                assert (ka < kb) == (order.key(a) < order.key(b)), \
+                    (order, a, b)
+                assert (ka == kb) == (a == b), (order, a, b)
+                assert packing.unpack(packing.lcm(ma, mb)) == \
+                    tuple(map(max, a, b))
+                assert (not (mb - ma) & packing.guard) == \
+                    all(x <= y for x, y in zip(a, b))
+                if not (ma + mb) & packing.guard:
+                    assert packing.unpack(ma + mb) == \
+                        tuple(x + y for x, y in zip(a, b))
+                    assert packing.key(ma + mb) == ka + kb
+
+
+def test_exponents_beyond_the_field_widen_the_run(monkeypatch):
+    """Overflow never wraps silently: fields are as wide as the inputs need,
+    and an S-polynomial or a product during division that does not fit
+    reruns the same computation with fields twice as wide."""
+    V = ("x", "y")
+    x, y = (Polynomial.variable(v, V) for v in V)
+    gb = buchberger([x ** (2 ** 40) - y, y ** 3 - x], GREVLEX)
+    assert [str(g) for g in gb.generators] == \
+        ["y^3 - x", "x^1099511627776 - y"]
+    widths = []
+    packing = groebner._packing
+    monkeypatch.setattr(groebner, "_packing", lambda order, n, bits: (
+        widths.append(bits) or packing(order, n, bits)))
+    # the inputs fit in 8-bit fields; an S-polynomial of the second ideal
+    # does not, nor does y^144 in the first, a product during division
+    widths.clear()
+    gb = buchberger([x ** 4 - y ** 20, x ** 9 * y - y ** 14],
+                    MonomialOrder.lex())
+    assert widths == [8, 16]
+    assert [str(g) for g in gb.generators] == \
+        ["y^142 - y^14", "-y^115 + x*y^14", "-y^20 + x^4"]
+    gens = [x - y ** 12, x ** 12 - 1]
+    for track in (False, True):
+        widths.clear()
+        gb = buchberger(gens, MonomialOrder.lex(), track=track)
+        assert widths == [8, 16]
+        assert [str(g) for g in gb.generators] == ["y^144 - 1", "-y^12 + x"]
+    for g, row in zip(gb.generators, gb.origin_cofactors):
+        assert (row[0] * gens[0] + row[1] * gens[1]).terms == g.terms
+    assert ideal_member(y ** 288 - 1, gb)[0]
+    assert not ideal_member(y ** 289 - 1, gb)[0]
+    widths.clear()
+    nf = normal_form(x ** 12, [x - y ** 12], MonomialOrder.lex(), track=True)
+    assert widths == [8, 16]
+    assert nf.remainder.terms == (y ** 144).terms
+    assert recombine(nf, [x - y ** 12]).terms == (x ** 12).terms
 
 
 def test_known_basis_textbook_example():

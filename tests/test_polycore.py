@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from limclose.polycore import (
     Polynomial, MonomialOrder, GREVLEX, LEX, VariableMismatch,
     catalan, catalan_truncated_generating_poly, mod_monomial_power,
-    mono_mul, mono_divides, mono_div, mono_lcm,
+    mono_mul, mono_divides,
 )
 
 VARS = ("x", "y", "z")
@@ -116,10 +116,8 @@ def test_lazard_order_is_ds_on_homogenized_monomials():
 def test_monomial_helpers():
     a, b = (2, 1, 0), (1, 3, 0)
     assert mono_mul(a, b) == (3, 4, 0)
-    assert mono_lcm(a, b) == (2, 3, 0)
     assert mono_divides((1, 1, 1), a) is False
     assert mono_divides((1, 1, 0), (2, 1, 3)) is True
-    assert mono_div((2, 1, 3), (1, 1, 0)) == (1, 0, 3)
 
 
 # -- Catalan helpers --------------------------------------------------------
