@@ -288,6 +288,30 @@ def normal_form(f, divisors, order, track=False):
     return _widening(_bits([f] + list(divisors)), run)
 
 
+def exact_quotients(polys, g, order):
+    """[p / g for p in polys] for a non-zero g that divides every p, with g
+    packed once for the whole list; raises ValueError on a remainder."""
+    vars = g.vars
+
+    def run(bits):
+        packing = _packing(order, len(vars), bits)
+        terms, rg = packing.pack(g)
+        divisor = [_reducer(terms)]
+        out = []
+        for p in polys:
+            work, r = packing.pack(p)
+            red = _tracking(divisor)[0]
+            rem, scale = _divide(packing.guard, work, [red])
+            if rem:
+                raise ValueError("not exactly divisible")
+            ratio = _ratio(rg, scale * r)
+            out.append(Polynomial(vars, {packing.unpack(m): c * ratio
+                                         for m, c in red[4].items()}))
+        return out
+
+    return _widening(_bits([g] + list(polys)), run)
+
+
 def _row_sum(parts, width, guard, content):
     """sum(multiplier * row) / content over (multiplier, cofactor row)
     pairs, each multiplier a packed {monomial: coefficient} dict, each row

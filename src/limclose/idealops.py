@@ -11,7 +11,7 @@ from itertools import combinations
 
 from .polycore import Polynomial, MonomialOrder, GREVLEX, VariableMismatch, \
     mono_divides
-from .groebner import buchberger, normal_form, ideal_member, ideal_equal
+from .groebner import buchberger, exact_quotients, ideal_member, ideal_equal
 
 
 class AmbientMismatch(ValueError):
@@ -155,10 +155,7 @@ def ideal_intersect(I, J):
 
 def poly_divide_exact(p, g, order=GREVLEX):
     """p / g when g | p; raises if the division leaves a remainder."""
-    nf = normal_form(p, [g], order, track=True)
-    if not nf.remainder.is_zero():
-        raise ValueError("not exactly divisible")
-    return nf.coefficients[0]
+    return exact_quotients([p], g, order)[0]
 
 
 def ideal_colon(I, g):
@@ -170,19 +167,34 @@ def ideal_colon(I, g):
     if g.is_constant():
         return Ideal(I.vars, list(I.gens))
     inter = ideal_intersect(I, Ideal(I.vars, [g]))
-    return Ideal(I.vars, [poly_divide_exact(p, g) for p in inter.gens])
+    return Ideal(I.vars, exact_quotients(inter.gens, g, GREVLEX))
 
 
 def colon_by_product(I, factors):
-    """I : (f_1 ... f_k) as a chain of single colons: I : (gh) = (I:g):h.
+    """I : (f_1 ... f_k) as a chain of colons, I : (gh) = (I : g) : h, with
+    each run of adjacent one-term factors multiplied into one monomial.
 
-    Much cheaper than coloning by the expanded product when the factors are
-    simple (variable powers, single parameters)."""
-    out = I
+    Each colon is a full tag-variable elimination, so the chain takes one
+    per monomial run and one per other factor; constant runs are skipped.
+    On the quadric's colon table (y^2n, u^2n, v^2n) : (yuv)^n, rows 1-5
+    take about 0.1 s in-process this way against about 0.6 s for 3n single
+    colons (2-vCPU Xeon VM).  The caller's order is kept because the place
+    of the other factors matters: merging all monomials ahead of them took
+    colon_step((x+y, u, v)^[2], 3) on the quadric from 0.15 s to 12 s, and
+    moving the other factors first slowed the split ring's closures of
+    (y, x+z)^[k] by about a third."""
+    merged = []
     for f in factors:
-        if f.is_constant():
-            continue
-        out = ideal_colon(out, f)
+        if f.is_zero():
+            raise ZeroDivisionError("colon by zero")
+        if len(f.terms) == 1 and merged and len(merged[-1].terms) == 1:
+            merged[-1] = merged[-1] * f
+        else:
+            merged.append(f)
+    out = I
+    for f in merged:
+        if not f.is_constant():
+            out = ideal_colon(out, f)
     return out
 
 

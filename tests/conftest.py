@@ -16,7 +16,7 @@ from limclose.localring import LocalRingContext, SequenceInR
 
 def pytest_addoption(parser):
     parser.addoption("--run-slow", action="store_true", default=False,
-                     help="run the slow acceptance rows (colon table n=6..9)")
+                     help="run the slow acceptance rows (colon table n=10..12)")
 
 
 def pytest_configure(config):

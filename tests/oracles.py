@@ -1,12 +1,14 @@
 """Independent brute-force oracles used to cross-check the kernel.
 
 Everything here is deliberately dumb: degree-bounded exact linear algebra
-over Fraction, and lattice-point counting for semigroup rings.  No code is
-shared with the library under test beyond the Polynomial container.
+over the rationals, and lattice-point counting for semigroup rings.  No
+code is shared with the library under test beyond the Polynomial
+container.
 """
 
 from fractions import Fraction
 from itertools import product
+from math import gcd, lcm
 
 from limclose.polycore import Polynomial
 
@@ -21,72 +23,66 @@ def monomials_up_to(nvars, max_deg):
     return out
 
 
-def solve_exact(rows, rhs):
-    """Solve rows . c = rhs over Fraction; returns a solution list or None.
+def _int_row(vec):
+    """The non-zero entries of a rational vector as a sparse primitive
+    integer row {column: value}: denominators cleared, content divided out."""
+    entries = {i: Fraction(c) for i, c in enumerate(vec) if c}
+    den = lcm(*(c.denominator for c in entries.values()))
+    return _primitive({i: int(c * den) for i, c in entries.items()})
 
-    rows is a list of equations (dense lists); free variables are set to 0.
-    """
-    m = [list(map(Fraction, r)) + [Fraction(v)] for r, v in zip(rows, rhs)]
-    nrows = len(m)
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if m[i][ncols] != 0:
-            return None
-    sol = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        sol[c] = m[i][ncols]
-    return sol
+
+def _primitive(row):
+    content = gcd(*row.values())
+    if content in (0, 1):
+        return row
+    return {i: c // content for i, c in row.items()}
+
+
+class EchelonBasis:
+    """Row echelon basis of the span of the vectors added so far, kept
+    fraction-free: each row is a sparse primitive integer row whose lowest
+    column, its pivot, is the pivot of no other row."""
+
+    def __init__(self, vectors=()):
+        self.rows = {}      # pivot column -> row
+        for v in vectors:
+            self.add(v)
+
+    def residue(self, vec):
+        """vec reduced by the rows by cross-multiplication until its lowest
+        column is no pivot: empty exactly when vec lies in the span."""
+        row = _int_row(vec)
+        while row:
+            p = min(row)
+            piv = self.rows.get(p)
+            if piv is None:
+                break
+            g = gcd(row[p], piv[p])
+            a, b = row[p] // g, piv[p] // g
+            row = {i: b * c for i, c in row.items()}
+            for i, c in piv.items():
+                s = row.get(i, 0) - a * c
+                if s:
+                    row[i] = s
+                else:
+                    del row[i]
+            row = _primitive(row)
+        return row
+
+    def add(self, vec):
+        row = self.residue(vec)
+        if row:
+            self.rows[min(row)] = row
 
 
 def rank_exact(vectors):
-    """Rank of a list of Fraction vectors by one forward elimination."""
-    rows = [list(map(Fraction, v)) for v in vectors]
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    col = 0
-    while col < ncols and rank < len(rows):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0),
-                     None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = Fraction(1) / rows[rank][col]
-        rows[rank] = [x * inv for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+    """Rank of a list of rational vectors."""
+    return len(EchelonBasis(vectors).rows)
 
 
 def in_span(vectors, target):
-    """Exact membership of target in the Fraction-span of vectors."""
-    if not vectors:
-        return all(v == 0 for v in target)
-    rows = list(zip(*vectors))
-    return solve_exact([list(r) for r in rows], list(target)) is not None
+    """Exact membership of target in the rational span of vectors."""
+    return not EchelonBasis(vectors).residue(target)
 
 
 def _poly_vector(p, monos):

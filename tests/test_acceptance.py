@@ -62,15 +62,15 @@ def test_criterion_01_catalan_colon_table_fast_rows(catalan_ring):
     assert catalan(8) == CATALAN_LITERAL
     ctx = catalan_ring.ctx
     y, u, v = (catalan_ring.extras[k] for k in "yuv")
-    for n in range(1, 7):
+    for n in range(1, 10):
         a_n = closed_form_generator(catalan_ring, n)
         expected = ctx.adjoin(Ideal(ctx.vars, [y ** n, u ** n, v ** n, a_n]))
         assert local_equal(colon_table_row(catalan_ring, n), expected, ctx), n
-    _report(1, "colon table rows n=1..6 match (y^n,u^n,v^n,a_n) exactly")
+    _report(1, "colon table rows n=1..9 match (y^n,u^n,v^n,a_n) exactly")
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("n", [7, 8, 9])
+@pytest.mark.parametrize("n", [10, 11, 12])
 def test_criterion_01_catalan_colon_table_slow_rows(catalan_ring, n):
     ctx = catalan_ring.ctx
     y, u, v = (catalan_ring.extras[k] for k in "yuv")

@@ -1,9 +1,13 @@
 """Limit closures: colon chain behaviour, containments, quotient formula,
 mixed closures, monomial property."""
 
+import random
+
 import pytest
 
-from limclose.idealops import Ideal, ideal_sum, ideals_equal
+from limclose import idealops
+from limclose.polycore import Polynomial
+from limclose.idealops import Ideal, ideal_sum, ideals_equal, ideal_colon
 from limclose.localring import (
     LocalRingContext, SequenceInR, local_equal, local_contains, local_member,
     local_length,
@@ -15,12 +19,69 @@ from limclose.limitclosure import (
 
 
 def test_colon_by_product_matches_expanded_colon(plane):
-    from limclose.idealops import ideal_colon
     x, y = plane.extras["x"], plane.extras["y"]
     I = Ideal(plane.ctx.vars, [x ** 3 * y, y ** 4])
     chained = colon_by_product(I, [x, y ** 2])
     direct = ideal_colon(I, x * y ** 2)
     assert ideals_equal(chained, direct)
+
+
+def _colon_chain(I, factors):
+    """Reference: one ideal_colon per non-constant factor, in order."""
+    for f in factors:
+        if not f.is_constant():
+            I = ideal_colon(I, f)
+    return I
+
+
+def test_colon_by_product_matches_the_chain_of_single_colons(
+        split_ring, catalan_ring, space):
+    cases = []
+    ctx = catalan_ring.ctx
+    x, y, u, v = (catalan_ring.extras[k] for k in "xyuv")
+    for n in (1, 2, 3):
+        powered = Ideal(ctx.vars, [y ** (2 * n), u ** (2 * n), v ** (2 * n)])
+        cases.append((ctx.adjoin(powered), [y] * n + [u] * n + [v] * n))
+    powered = Ideal(ctx.vars, [(x + y) ** 3, u ** 3, v ** 3])
+    cases.append((ctx.adjoin(powered), [x + y] * 2 + [u] * 2 + [v] * 2))
+    ctx = split_ring.ctx
+    sx, sy, sz = (split_ring.extras[k] for k in "xyz")
+    powered = Ideal(ctx.vars, [sy ** 3, (sx + sz) ** 3])
+    cases.append((ctx.adjoin(powered), [sy] * 2 + [sx + sz] * 2))
+    # random lists mixing monomials, binomials, constants and repeats
+    V = space.ctx.vars
+    x, y, z = (space.extras[k] for k in "xyz")
+    I = Ideal(V, [x ** 4, y ** 3 * z, z ** 4, x ** 2 * y ** 2 - x * z ** 3])
+    pool = [x, y, z, x * y, 2 * y * z, x + z, y - z, x * y + z ** 2,
+            Polynomial.constant(3, V), Polynomial.constant(-1, V)]
+    rng = random.Random(9)
+    for _ in range(8):
+        cases.append((I, [rng.choice(pool)
+                          for _ in range(rng.randint(2, 5))]))
+    for I, factors in cases:
+        assert ideals_equal(colon_by_product(I, factors),
+                            _colon_chain(I, factors)), factors
+
+
+def test_colon_by_product_merges_adjacent_monomials_only(monkeypatch):
+    # one colon per run of adjacent monomials, in the caller's order:
+    # moving the monomials past x+y or x+z blows up the quadric's chains
+    V = ("x", "y", "z", "u", "v")
+    x, y, z, u, v = (Polynomial.variable(n, V) for n in V)
+    divisors = []
+    monkeypatch.setattr(idealops, "ideal_colon",
+                        lambda I, g: divisors.append(g) or I)
+    colon_by_product(Ideal(V, [x ** 3]), [x + y, u, u, v, x + z, y])
+    assert divisors == [x + y, u ** 2 * v, x + z, y]
+
+
+def test_colon_by_product_by_zero_raises(plane):
+    x = plane.extras["x"]
+    zero = plane.ctx.zero_poly()
+    I = Ideal(plane.ctx.vars, [x ** 2])
+    for factors in ([zero], [x, zero], [zero, x + 1]):
+        with pytest.raises(ZeroDivisionError, match="colon by zero"):
+            colon_by_product(I, factors)
 
 
 def test_chain_is_monotone_on_every_fixture(plane, space, split_ring,
