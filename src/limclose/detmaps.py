@@ -7,6 +7,7 @@ det(A) : R/(x)^lim -> R/(y)^lim.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .polycore import Polynomial, GREVLEX
 from .groebner import buchberger, ideal_member
@@ -55,32 +56,13 @@ class DetMapProblem:
 
 
 def determinant(matrix, vars):
-    """Exact determinant of a square matrix of polynomials: cofactor
-    expansion for size <= 4, fraction-free (Bareiss) elimination above."""
+    """Exact determinant of a square matrix of polynomials by fraction-free
+    (Bareiss) elimination: each step's entries are divided exactly by the
+    previous pivot."""
     n = len(matrix)
     if n == 0:
         return Polynomial.constant(1, vars)
-    if n <= 4:
-        return _det_cofactor(matrix, vars)
-    return _det_bareiss([list(row) for row in matrix], vars)
-
-
-def _det_cofactor(matrix, vars):
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    acc = Polynomial.zero(vars)
-    for j, a in enumerate(matrix[0]):
-        if a.is_zero():
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in matrix[1:]]
-        term = a * _det_cofactor(minor, vars)
-        acc = acc - term if j % 2 else acc + term
-    return acc
-
-
-def _det_bareiss(m, vars):
-    n = len(m)
+    m = [list(row) for row in matrix]
     sign = 1
     prev = Polynomial.constant(1, vars)
     for k in range(n - 1):
@@ -96,16 +78,11 @@ def _det_bareiss(m, vars):
             for j in range(k + 1, n):
                 num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
                 m[i][j] = poly_divide_exact(num, prev) if not prev.is_constant() \
-                    else num * _inv_const(prev)
+                    else num * Fraction(1, prev.constant_term)
             m[i][k] = Polynomial.zero(vars)
         prev = m[k][k]
     d = m[n - 1][n - 1]
     return d if sign == 1 else -d
-
-
-def _inv_const(p):
-    from fractions import Fraction
-    return Fraction(1) / Fraction(p.constant_term)
 
 
 def express_in_terms(y, x):

@@ -360,6 +360,7 @@ def _buchberger(gens, packing, order, track):
             rows.append([{0: r} if t == k else {} for t in range(n_orig)])
         leads.append(terms[0][0])
         active = _update(packing, leads, active, pairs, dead)
+    n_in = len(leads)
 
     while pairs:
         _, j, i, m = heapq.heappop(pairs)
@@ -391,8 +392,10 @@ def _buchberger(gens, packing, order, track):
         leads.append(rem[0][0])
         active = _update(packing, leads, active, pairs, dead)
 
+    keep = _minimal(packing.guard, leads, active, n_in)
     return _unpack_basis(packing, order, gens[0].vars,
-                         *_reduce(packing, reducers, rows if track else None))
+                         *_reduce(packing, reducers, keep,
+                                  rows if track else None))
 
 
 def _unpack_basis(packing, order, vars, basis, rows):
@@ -444,20 +447,42 @@ def _update(packing, leads, active, pairs, dead):
             kept.append(m)
             if not coprime:
                 heapq.heappush(pairs, (packing.degree(m), j, i, m))
-    return [j for j in active if (leads[j] - mh) & guard] + [i]
+    return _retire(guard, leads, active)
 
 
-def _reduce(packing, reducers, rows):
+def _retire(guard, leads, active):
+    """The active list once the newest element joins it: every active
+    element whose lead the newest lead divides retires."""
+    mh = leads[-1]
+    return [j for j in active if (leads[j] - mh) & guard] + [len(leads) - 1]
+
+
+def _minimal(guard, leads, active, n_in):
+    """Indices of a minimal basis among the elements of the given leads:
+    those whose lead no other lead strictly divides, and of equal leads the
+    first.  No active lead is divisible by a later lead (`_retire`), and
+    the lead of a reduced S-polynomial by no earlier one.  So only the
+    first n_in elements, the inputs, which are not reduced against each
+    other, need a test: against the earlier active elements for a strict
+    divisor, and against the earlier inputs for an equal lead."""
+    keep = []
+    for i in active:
+        m = leads[i]
+        if i < n_in:
+            if any(not (m - leads[j]) & guard for j in active if j < i):
+                continue
+            i = leads.index(m)
+        keep.append(i)
+    return keep
+
+
+def _reduce(packing, reducers, keep, rows):
     """Reduced basis, as primitive reducers with their cofactor rows (or
-    None), of packed primitive reducers: minimal, tail-reduced, sorted by
-    leading monomial (ascending)."""
+    None), of packed primitive reducers, given the indices `keep` of a
+    minimal basis among them (`_minimal`): tail-reduced, sorted by leading
+    monomial (ascending)."""
     guard = packing.guard
-    leads = [r[0] for r in reducers]
-    # minimalize: drop generators whose lead is divisible by another's lead
-    keep = [i for i, m in enumerate(leads)
-            if not any(not (m - mj) & guard and (mj != m or j < i)
-                       for j, mj in enumerate(leads) if j != i)]
-    keep.sort(key=lambda i: reducers[i][1])
+    keep = sorted(keep, key=lambda i: reducers[i][1])
     # tail-reduce in ascending order of the (distinct, irreducible) leads,
     # so each remainder keeps its lead and the list stays sorted
     reduced = []
@@ -495,16 +520,21 @@ def reduce_basis(gb):
     def run(bits):
         packing = _packing(gb.order, len(vars), bits)
         reducers = []
+        leads = []
+        active = []
         packed_rows = []
         for g, row in zip(gens, rows or gens):
             terms, r = packing.pack(g)
             reducers.append(_reducer(terms))
+            leads.append(terms[0][0])
+            active = _retire(packing.guard, leads, active)
             if rows is not None:
                 packed_rows.append([
                     {m: _ratio(c * r, re) for m, _, c in t}
                     for t, re in map(packing.pack, row)])
+        keep = _minimal(packing.guard, leads, active, len(leads))
         return _unpack_basis(packing, gb.order, vars, *_reduce(
-            packing, reducers, packed_rows if rows is not None else None))
+            packing, reducers, keep, packed_rows if rows is not None else None))
 
     return _widening(_bits(gens), run)
 

@@ -22,19 +22,20 @@ class NotZeroDimensional(ValueError):
     pass
 
 
-# Retained-term budget of the process-wide basis cache: the terms of every
-# cached key plus those of its basis.
+# Retained-term budget of the process-wide cache: the terms of every cached
+# key plus those of its value.
 GB_CACHE_TERM_BUDGET = 1000
 
 
 class _BasisCache:
-    """Least-recently-used map from canonical ideal keys to reduced bases,
-    bounded by the number of polynomial terms it retains."""
+    """Least-recently-used map from canonical keys to reduced bases, colon
+    generators and local lead lists, bounded by the number of polynomial
+    terms it retains.  Every key starts with the ring's variables."""
 
     def __init__(self, budget):
         self.budget = budget
         self.terms = 0
-        self.entries = OrderedDict()    # key -> (basis, terms)
+        self.entries = OrderedDict()    # key -> (value, terms)
 
     def get(self, key):
         entry = self.entries.get(key)
@@ -43,10 +44,10 @@ class _BasisCache:
         self.entries.move_to_end(key)
         return entry[0]
 
-    def put(self, key, gb, terms):
+    def put(self, key, value, terms):
         if terms > self.budget:     # would evict every other entry
             return
-        self.entries[key] = (gb, terms)
+        self.entries[key] = (value, terms)
         self.terms += terms
         while self.terms > self.budget:
             _, (_, dropped) = self.entries.popitem(last=False)
@@ -56,28 +57,28 @@ class _BasisCache:
 _GB_CACHE = _BasisCache(GB_CACHE_TERM_BUDGET)
 
 
-def _canonical_terms(p):
-    """Terms of the primitive multiple of p whose coefficient at its
-    largest exponent tuple is positive: equal for all non-zero multiples."""
-    q = p.primitive()
-    if q.terms[max(q.terms)] < 0:
-        q = -q
-    return frozenset(q.terms.items())
+def _memoized(vars, what, gens, compute, size):
+    """compute(), memoized under (vars, what, the set of canonical
+    generators of gens): the same key for every permutation, rescaling or
+    repetition of the generators (`Polynomial.canonical`).  A value enters
+    the cache only once compute() returns, counted as the key's generator
+    terms plus size(value); every caller shares it, and none may mutate
+    it."""
+    canon = frozenset(g.canonical()[1] for g in gens)
+    key = (vars, what, canon)
+    value = _GB_CACHE.get(key)
+    if value is None:
+        value = compute()
+        _GB_CACHE.put(key, value, sum(map(len, canon)) + size(value))
+    return value
 
 
 def _groebner(vars, gens, order):
     """Reduced basis of (gens) under order.  The reduced basis is unique, so
-    the cache key ignores generator order, scaling and repeats; a miss runs
-    buchberger on gens as given, and caches the basis once it returns.
-    Every caller shares the returned basis: none may mutate it."""
-    canon = frozenset(_canonical_terms(g) for g in gens)
-    key = (vars, order, canon)
-    gb = _GB_CACHE.get(key)
-    if gb is None:
-        gb = buchberger(gens, order)
-        _GB_CACHE.put(key, gb, sum(map(len, canon))
-                      + sum(len(g.terms) for g in gb.generators))
-    return gb
+    it is memoized by canonical generators; a miss runs buchberger on gens
+    as given."""
+    return _memoized(vars, order, gens, lambda: buchberger(gens, order),
+                     lambda gb: sum(len(g.terms) for g in gb.generators))
 
 
 @dataclass
@@ -139,7 +140,8 @@ def _fresh_tag_var(vars):
 
 
 def ideal_intersect(I, J):
-    """I cap J via one tag variable t: eliminate t from t*I + (1-t)*J."""
+    """I cap J via one tag variable t: eliminate t from t*I + (1-t)*J.  The
+    elimination basis is asked for once and bypasses the cache."""
     _check_same_ambient(I, J)
     if not I.gens or not J.gens:
         return Ideal(I.vars, [])
@@ -149,8 +151,9 @@ def ideal_intersect(I, J):
     one_minus_t = Polynomial.constant(1, big_vars) - t
     gens = [t * g.extend_vars(big_vars) for g in I.gens]
     gens += [one_minus_t * h.extend_vars(big_vars) for h in J.gens]
-    elim = eliminate(Ideal(big_vars, gens), [t_name])
-    return Ideal(I.vars, [g.restrict_vars(I.vars) for g in elim.gens])
+    gb = buchberger(gens, _elimination_order(big_vars, [t_name]))
+    return Ideal(I.vars, [g.restrict_vars(I.vars) for g in gb.generators
+                          if not g.involves([t_name])])
 
 
 def poly_divide_exact(p, g, order=GREVLEX):
@@ -159,15 +162,25 @@ def poly_divide_exact(p, g, order=GREVLEX):
 
 
 def ideal_colon(I, g):
-    """I : g = (I cap (g)) / g."""
+    """I : g = (I cap (g)) / g, memoized in the shared cache by the canonical
+    generators of I and g.  The intersection's reduced basis depends only on
+    the two ideals, and it is divided by the canonical multiple of g, so a
+    hit returns what a miss would: a fresh Ideal over the same quotients."""
     if g.is_zero():
         raise ZeroDivisionError("colon by zero")
     if g.vars != I.vars:
         raise AmbientMismatch(f"{g.vars} vs {I.vars}")
     if g.is_constant():
         return Ideal(I.vars, list(I.gens))
-    inter = ideal_intersect(I, Ideal(I.vars, [g]))
-    return Ideal(I.vars, exact_quotients(inter.gens, g, GREVLEX))
+    c, gkey = g.canonical()
+
+    def colon():
+        inter = ideal_intersect(I, Ideal(I.vars, [c]))
+        return tuple(exact_quotients(inter.gens, c, GREVLEX))
+
+    quotients = _memoized(I.vars, ("colon", gkey), I.gens, colon,
+                          lambda qs: len(gkey) + sum(len(q.terms) for q in qs))
+    return Ideal(I.vars, list(quotients))
 
 
 def colon_by_product(I, factors):
@@ -233,22 +246,24 @@ def ideal_saturate(I, g):
         k += 1
 
 
-def eliminate(I, drop_names):
-    """Generators of I cap K[remaining vars], via a block elimination order.
+def _elimination_order(vars, drop_names):
+    """Block order on vars that eliminates drop_names: the dropped variables
+    come first in the comparison, the others keep their order."""
+    keep = tuple(v for v in vars if v not in drop_names)
+    new_vars = tuple(drop_names) + keep
+    return MonomialOrder.block(len(drop_names),
+                               perm=tuple(new_vars.index(v) for v in vars))
 
-    The dropped variables are moved to the front of a fresh variable order.
-    """
+
+def eliminate(I, drop_names):
+    """Generators of I cap K[remaining vars], via a block elimination order."""
     drop_names = [n for n in drop_names]
     for n in drop_names:
         if n not in I.vars:
             raise VariableMismatch(f"unknown variable {n!r}")
     if not drop_names:
         return Ideal(I.vars, list(I.gens))
-    keep = [v for v in I.vars if v not in drop_names]
-    new_vars = tuple(drop_names) + tuple(keep)
-    perm = tuple(new_vars.index(v) for v in I.vars)
-    order = MonomialOrder.block(len(drop_names), perm=perm)
-    gb = _groebner(I.vars, I.gens, order)
+    gb = _groebner(I.vars, I.gens, _elimination_order(I.vars, drop_names))
     kept = [g for g in gb.generators if not g.involves(drop_names)]
     return Ideal(I.vars, kept)
 

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .polycore import Polynomial, MonomialOrder, mono_divides
+from .groebner import buchberger
 from .idealops import (
-    Ideal, ideal_sum, standard_monomials, _fresh_tag_var,
+    Ideal, ideal_sum, standard_monomials, _fresh_tag_var, _memoized,
     _lead_dim, NotZeroDimensional, AmbientMismatch,
 )
 
@@ -163,15 +164,21 @@ def _local_leads(I, ctx):
     """Leading monomials of a standard basis of (I + J)*R for ds: the
     generators are homogenized by a fresh last variable h, and the reduced
     basis under the lazard order, with h dropped from its leads, is one
-    (Lazard).  The shared basis cache serves every call on one ideal."""
-    hvars = ctx.vars + (_fresh_tag_var(ctx.vars),)
-    gens = []
-    for g in ctx.adjoin(I).gens:
-        d = g.total_degree()
-        gens.append(Polynomial(hvars, {e + (d - sum(e),): c
-                                       for e, c in g.terms.items()}))
-    basis = Ideal(hvars, gens).groebner(MonomialOrder.lazard())
-    return [m[:-1] for m in basis.leads()]
+    (Lazard).  The leads, not the basis, are memoized in the shared cache by
+    the canonical generators of I + J; a hit returns a fresh list."""
+    gens = ctx.adjoin(I).gens
+
+    def leads():
+        hvars = ctx.vars + (_fresh_tag_var(ctx.vars),)
+        homog = []
+        for g in gens:
+            d = g.total_degree()
+            homog.append(Polynomial(hvars, {e + (d - sum(e),): c
+                                            for e, c in g.terms.items()}))
+        basis = buchberger(homog, MonomialOrder.lazard())
+        return tuple(m[:-1] for m in basis.leads())
+
+    return list(_memoized(ctx.vars, "local leads", gens, leads, len))
 
 
 def local_length(I, ctx):

@@ -156,7 +156,7 @@ class Polynomial:
     term dict.  Instances are immutable by convention.
     """
 
-    __slots__ = ("vars", "terms", "_lead_cache")
+    __slots__ = ("vars", "terms", "_lead_cache", "_canon")
 
     def __init__(self, vars, terms):
         self.vars = tuple(vars)
@@ -166,6 +166,7 @@ class Polynomial:
                 clean[tuple(exps)] = _normalize_coeff(c)
         self.terms = clean
         self._lead_cache = None
+        self._canon = None
 
     # -- constructors -------------------------------------------------------
 
@@ -340,6 +341,19 @@ class Polynomial:
         if den == 1 and g == 1:
             return self
         return Polynomial(self.vars, {e: int(c * den) // g for e, c in self.terms.items()})
+
+    def canonical(self):
+        """(c, key) for a non-zero polynomial: c is its integer-primitive
+        multiple whose coefficient at the largest exponent tuple is positive,
+        the same for all its non-zero scalar multiples, and key is the
+        frozenset of c's terms.  Computed once, and shared with c."""
+        canon = self._canon
+        if canon is None:
+            c = self.primitive()
+            if c.terms[max(c.terms)] < 0:
+                c = -c
+            canon = self._canon = c._canon = (c, frozenset(c.terms.items()))
+        return canon
 
     # -- structural helpers ---------------------------------------------------
 

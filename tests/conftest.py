@@ -1,6 +1,7 @@
 """Shared fixtures: the rings and parameter sequences every suite reuses."""
 
 import sys
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
+from limclose import idealops
 from limclose.polycore import Polynomial
 from limclose.idealops import Ideal, ideal_intersect, RingMapPresentation, contract
 from limclose.localring import LocalRingContext, SequenceInR
@@ -30,6 +32,23 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip)
+
+
+@pytest.fixture
+def uncached():
+    """call(fn, *args): fn(*args) on an empty shared cache, as a miss
+    computes it; the cache as it was is restored afterwards."""
+    cache = idealops._GB_CACHE
+
+    def call(fn, *args):
+        saved = cache.entries, cache.terms
+        cache.entries, cache.terms = OrderedDict(), 0
+        try:
+            return fn(*args)
+        finally:
+            cache.entries, cache.terms = saved
+
+    return call
 
 
 @dataclass

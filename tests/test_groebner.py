@@ -145,6 +145,45 @@ def test_reduce_basis_of_a_scaled_redundant_tracked_basis():
                              gens).terms == g.terms
 
 
+def test_minimal_basis_agrees_with_the_full_divisibility_test(monkeypatch):
+    """Minimalizing from the final active list keeps exactly the elements
+    the full quadratic test keeps (no strictly dividing lead, the first of
+    equal leads): on shuffled, rescaled pools with an equal and a divisible
+    input lead, tracked or not, and in reduce_basis."""
+    def full_test(guard, leads):
+        return [i for i, m in enumerate(leads)
+                if not any(not (m - mj) & guard and (mj != m or j < i)
+                           for j, mj in enumerate(leads) if j != i)]
+
+    minimal = groebner._minimal
+    dropped_inputs = []
+
+    def checked(guard, leads, active, n_in):
+        keep = minimal(guard, leads, active, n_in)
+        assert sorted(keep) == full_test(guard, leads)
+        dropped_inputs.append(len(set(range(n_in)) - set(keep)))
+        return keep
+
+    monkeypatch.setattr(groebner, "_minimal", checked)
+    x = Polynomial.variable("x", VARS)
+    rng = random.Random(5)
+    pools = [[rand_poly(rng) for _ in range(rng.randint(2, 4))]
+             for _ in range(10)]
+    for gens in pools:
+        for _ in range(10):
+            shuffled = list(gens)
+            rng.shuffle(shuffled)
+            scaled = [g * rng.choice([1, 2, -1, 3]) for g in shuffled]
+            scaled += [scaled[0] * -2, x * scaled[-1]]
+            for track in (False, True):
+                gb = buchberger(scaled, GREVLEX, track=track)
+            if gb.generators:
+                extra = [x * g for g in gb.generators] + [gb.generators[0] * 3]
+                reduce_basis(GroebnerBasis(extra + gb.generators[::-1],
+                                           GREVLEX))
+    assert sum(n > 0 for n in dropped_inputs) >= 100
+
+
 def test_membership_agrees_with_linear_algebra_oracle():
     rng = random.Random(2024)
     checked_members = checked_non = 0

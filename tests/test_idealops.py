@@ -13,7 +13,9 @@ from limclose.idealops import (
     ideal_colon, ideal_colon_ideal, ideal_saturate, ideals_equal,
     eliminate, contract, RingMapPresentation, standard_monomials,
     AmbientMismatch, NotZeroDimensional, poly_divide_exact, _lead_dim,
+    _fresh_tag_var,
 )
+from limclose.localring import LocalRingContext, _local_leads
 
 from oracles import monomials_up_to, rank_exact
 
@@ -98,12 +100,72 @@ def test_basis_cache_keeps_each_ideal_over_its_own_variables():
     assert Ideal(("s", "t"), [s ** 2]).reduced_gens() == [s ** 2]
 
 
+def _presentations(rng, gens, count):
+    """count presentations of (gens): shuffled, each generator scaled by
+    +-1, +-2 or +-3, and the first one repeated."""
+    out = []
+    for _ in range(count):
+        shuffled = list(gens)
+        rng.shuffle(shuffled)
+        scaled = [g * rng.choice([1, -1, 2, -2, 3, -3]) for g in shuffled]
+        out.append(scaled + [scaled[0] * rng.choice([-1, 2])])
+    return out
+
+
+def test_colon_cache_answers_every_presentation_alike(monkeypatch, uncached):
+    """ideal_colon on another presentation of I and g is a hit, made while
+    the kernel cannot run, and returns what an uncached call on that
+    presentation returns: the same quotients, in a fresh Ideal."""
+    rng = random.Random(29)
+    tag = _fresh_tag_var(VARS)
+    checked = 0
+    while checked < 8:
+        gens = [rand_poly(rng, min_deg=1) for _ in range(rng.randint(1, 3))]
+        g = rand_poly(rng, max_terms=2, min_deg=1)
+        if g.is_zero() or g.is_constant():
+            continue
+        checked += 1
+        first = ideal_colon(Ideal(VARS, gens), g).gens
+        for scaled in _presentations(rng, gens, 4):
+            I2 = Ideal(VARS, scaled)
+            g2 = g * rng.choice([1, -1, 2, -2, 3, -3])
+            want = uncached(ideal_colon, I2, g2).gens
+            with monkeypatch.context() as m:
+                m.setattr(idealops, "buchberger", None)
+                got = ideal_colon(I2, g2)
+                got.gens.append(X)
+                again = ideal_colon(I2, g2).gens
+            assert again == want == first
+            assert all(I2.contains_poly(q * g2) for q in want)
+            assert all(tag not in key[0] for key in idealops._GB_CACHE.entries)
+
+
 def test_basis_cache_stays_within_its_term_budget():
+    """Bases, colons and local leads share one budget; each entry counts
+    the terms of its key and of its value."""
     cache = idealops._GB_CACHE
+    ctx = LocalRingContext(VARS, Ideal(VARS, []))
     rng = random.Random(13)
-    for _ in range(200):
-        Ideal(VARS, [rand_poly(rng, min_deg=1) for _ in range(3)]).groebner()
+    kinds = set()
+    for n in range(200):
+        I = Ideal(VARS, [rand_poly(rng, min_deg=1) for _ in range(3)])
+        I.groebner()
+        if n % 4 == 0:
+            ideal_colon(I, X + Y)
+            _local_leads(I, ctx)
         assert cache.terms <= idealops.GB_CACHE_TERM_BUDGET
+        for (_, what, canon), (value, terms) in cache.entries.items():
+            if what == "local leads":
+                kinds.add(what)
+                size = len(value)
+            elif isinstance(what, tuple):
+                kinds.add(what[0])
+                size = len(what[1]) + sum(len(q.terms) for q in value)
+            else:
+                kinds.add("basis")
+                size = sum(len(g.terms) for g in value.generators)
+            assert terms == sum(map(len, canon)) + size
+    assert kinds == {"basis", "colon", "local leads"}
     assert cache.terms == sum(t for _, t in cache.entries.values())
     assert len(cache.entries) < 200    # the budget evicted some bases
 

@@ -5,13 +5,13 @@ import random
 
 import pytest
 
-from limclose import idealops
+from limclose import idealops, localring
 from limclose.polycore import Polynomial
-from limclose.idealops import Ideal, ideal_colon
+from limclose.idealops import Ideal, ideal_colon, _fresh_tag_var
 from limclose.localring import (
     LocalRingContext, SequenceInR, local_member, local_contains, local_equal,
     is_local_unit_ideal, local_length, local_dim, is_sop,
-    contained_in_m_power, NotMPrimary,
+    contained_in_m_power, NotMPrimary, _local_leads,
 )
 
 from oracles import local_member_oracle, local_length_oracle
@@ -113,6 +113,41 @@ def test_unit_ideal_test_needs_no_basis_inside_m(plane, split_ring,
             assert is_local_unit_ideal(Ideal(ctx.vars, [ctx.one() + x]), ctx)
             assert is_local_unit_ideal(
                 Ideal(ctx.vars, [x, ctx.one() - y]), ctx)
+
+
+def test_local_leads_cache_answers_every_presentation_alike(split_ring,
+                                                           monkeypatch,
+                                                           uncached):
+    """_local_leads on another presentation of I is a hit, made while the
+    kernel cannot run, and returns what an uncached call on that
+    presentation returns, as a fresh list; no cached key is over the
+    homogenizing variable."""
+    ctx = split_ring.ctx
+    V = ctx.vars
+    tag = _fresh_tag_var(V)
+    rng = random.Random(41)
+    for _ in range(8):
+        gens = []
+        count = rng.randint(1, 3)
+        while len(gens) < count:
+            f = rand_poly(rng, V, max_deg=2)
+            f = f - Polynomial.constant(f.constant_term, V)
+            if not f.is_zero():
+                gens.append(f)
+        first = _local_leads(Ideal(V, gens), ctx)
+        for _ in range(4):
+            shuffled = list(gens)
+            rng.shuffle(shuffled)
+            scaled = [g * rng.choice([1, -1, 2, -2, 3, -3]) for g in shuffled]
+            I2 = Ideal(V, scaled + [scaled[0] * rng.choice([-1, 2])])
+            want = uncached(_local_leads, I2, ctx)
+            with monkeypatch.context() as m:
+                m.setattr(localring, "buchberger", None)
+                got = _local_leads(I2, ctx)
+                got.append(None)
+                again = _local_leads(I2, ctx)
+            assert again == want == first
+        assert all(tag not in key[0] for key in idealops._GB_CACHE.entries)
 
 
 def test_local_length_matches_standard_monomials(plane):
