@@ -37,7 +37,6 @@ from .limitclosure import (
 from .structure import (
     unmixed_component, dimension_filtration, _filtration_candidate,
     is_good_sop, ij_functions, topology_scan, multiplicity,
-    DEFAULT_INTERSECT_N,
 )
 from .detmaps import express_in_terms, detmap_injective
 
@@ -555,7 +554,7 @@ def _dimfilt(config, ctx, s):
 
 
 def _goodsop(config, ctx, s):
-    filt = _filtration_candidate(ctx, s, DEFAULT_INTERSECT_N)
+    filt = _filtration_candidate(ctx, s)
     return CommandResult(kind="verdict", verdict=is_good_sop(s, filt))
 
 

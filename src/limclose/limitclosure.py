@@ -4,13 +4,15 @@ and the monomial-property test.
 The closure of x_1, ..., x_r is the increasing union over n of
 (x_1^{n+1}, ..., x_r^{n+1}) : (x_1 ... x_r)^n, taken in the local ring.
 Stabilization is detected by a window of consecutive locally-equal chain
-terms; Noetherianity guarantees termination but gives no bound, so the
+terms (`_stabilize`, which also stops the closure intersections of
+`structure`); Noetherianity guarantees termination but gives no bound, so the
 window is a heuristic and callers cross-check stable values independently.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 from .idealops import Ideal, colon_by_product
 from .localring import (
@@ -26,7 +28,6 @@ class LimitClosureResult:
     closure: Ideal            # ambient representative, defining ideal adjoined
     stabilization_index: int  # first n with chain[n] == chain[n+1] == ...
     chain: list               # chain[k] is the colon at step k+1
-    sequence: SequenceInR
     is_proper: bool           # closure != R locally
 
 
@@ -72,18 +73,21 @@ def colon_step(seq, n):
     return colon_by_product(powered, [e ** n for e in seq.entries])
 
 
-def _stabilize(step, ctx, n_max, window, what):
-    """Chain step(1), step(2), ... up to step(n_max), stopped once `window`
-    consecutive terms are locally equal; returns the chain and the index of
-    the first term of that run.  Raises NotStabilized (carrying the partial
-    chain) otherwise."""
+def _stabilize(terms, ctx, n_max, window, what):
+    """Chain the first n_max terms of the iterator `terms`, stopped once
+    `window` consecutive terms are locally equal; returns the chain and the
+    index of the first term of that run.  Raises NotStabilized (carrying the
+    partial chain) otherwise."""
+    if window < 2:
+        raise ValueError(f"stabilization window must be at least 2, "
+                         f"got {window}")
     chain = []
-    for n in range(1, n_max + 1):
-        chain.append(step(n))
+    for _, term in zip(range(n_max), terms):
+        chain.append(term)
         if len(chain) >= window and all(
                 local_equal(chain[-1], chain[-k - 1], ctx)
                 for k in range(1, window)):
-            return chain, n - window + 1
+            return chain, len(chain) - window + 1
     err = NotStabilized(f"{what} did not stabilize within n_max={n_max}")
     err.partial_chain = chain
     raise err
@@ -92,8 +96,8 @@ def _stabilize(step, ctx, n_max, window, what):
 def limit_closure(seq, n_max=DEFAULT_N_MAX, window=2):
     """Iterate colon_step until `window` consecutive chain terms are locally
     equal; raises NotStabilized (carrying the partial chain) otherwise."""
-    chain, stable_at = _stabilize(lambda n: colon_step(seq, n), seq.ctx,
-                                  n_max, window, "colon chain")
+    chain, stable_at = _stabilize((colon_step(seq, n) for n in count(1)),
+                                  seq.ctx, n_max, window, "colon chain")
     closure = chain[stable_at - 1]
     # the closure contains J, which has no unit at the origin, so it is
     # locally the unit ideal iff one of its generators is a unit there
@@ -101,7 +105,6 @@ def limit_closure(seq, n_max=DEFAULT_N_MAX, window=2):
         closure=closure,
         stabilization_index=stable_at,
         chain=chain,
-        sequence=seq,
         is_proper=not is_local_unit_ideal(closure, seq.ctx),
     )
 
@@ -119,14 +122,14 @@ def mixed_colon_step(spec, k):
     return colon_by_product(powered, [e ** (n * k) for e in spec.head.entries])
 
 
-def limit_closure_mixed(spec, n_max=DEFAULT_N_MAX, window=2):
+def limit_closure_mixed(spec, n_max=DEFAULT_N_MAX):
     """Stabilized union over k of the mixed colon chain; a degenerate spec
     with empty tail is the plain limit closure of the powered head."""
     if not spec.tail.entries:
         return limit_closure(spec.head.powers(spec.head_power),
-                             n_max=n_max, window=window).closure
-    chain, _ = _stabilize(lambda k: mixed_colon_step(spec, k), spec.head.ctx,
-                          n_max, window, "mixed colon chain")
+                             n_max=n_max).closure
+    chain, _ = _stabilize((mixed_colon_step(spec, k) for k in count(1)),
+                          spec.head.ctx, n_max, 2, "mixed colon chain")
     return chain[-1]
 
 

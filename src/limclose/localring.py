@@ -118,12 +118,6 @@ class SequenceInR:
         return SequenceInR([e ** n for e in self.entries], self.ctx,
                            base=root, exponent=n * self.exponent)
 
-    def product(self):
-        p = self.ctx.one()
-        for e in self.entries:
-            p = p * e
-        return p
-
 
 # ---------------------------------------------------------------------------
 # local membership and comparison

@@ -313,15 +313,6 @@ class Polynomial:
 
     # -- normalization -------------------------------------------------------
 
-    def monic(self, order):
-        if not self.terms:
-            return self
-        _, c = self.lead(order)
-        if c == 1:
-            return self
-        inv = Fraction(1, 1) / Fraction(c)
-        return self * inv
-
     def primitive(self):
         """Integer-primitive scalar multiple: clears denominators and divides
         by the (positive) integer content, so the signs of the coefficients

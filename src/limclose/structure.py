@@ -8,28 +8,28 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import accumulate, count, permutations, product
 
 from .polycore import Polynomial
 from .idealops import (
-    Ideal, ideal_sum, ideal_power, ideal_intersect, ideal_colon_ideal,
+    Ideal, ideal_power, ideal_intersect, ideal_colon_ideal,
     contract,
 )
 from .localring import (
     LocalRingContext, SequenceInR, local_equal, local_contains, local_member,
     local_length, local_dim, is_sop, NotStabilized,
 )
-from .limitclosure import limit_closure, DEFAULT_N_MAX
+from .limitclosure import limit_closure, _stabilize
 
 
 DEFAULT_INTERSECT_N = 8
+FILTRATION_RETRIES = 8
 
 
 @dataclass
 class UnmixedComponentResult:
     component: Ideal
-    sop: SequenceInR
     intersection_depth: int
-    cross_check: bool | None = None   # assisted-mode agreement, when both ran
 
 
 @dataclass
@@ -81,15 +81,6 @@ class CyclicCoverReport:
 # unmixed component (stabilized intersection of closures of powered sops)
 # ---------------------------------------------------------------------------
 
-def _has_small_dimension(g, ctx, threshold):
-    """Annihilator criterion: dim R*g < threshold iff g is zero in R or
-    dim R/(J : g) < threshold."""
-    if local_member(g, ctx.zero_ideal(), ctx):
-        return True
-    ann = ideal_colon_ideal(ctx.defining, Ideal(ctx.vars, [g]))
-    return local_dim(ann, ctx) < threshold
-
-
 def _small_dimension_part(W, ctx, threshold):
     """Certified subideal of W of module dimension < threshold.
 
@@ -98,84 +89,33 @@ def _small_dimension_part(W, ctx, threshold):
     certificate, so the result is always inside the true small part; only
     completeness rests on the caller's stabilization window.
     """
-    return Ideal(ctx.vars, [g for g in ctx.adjoin(W).reduced_gens()
-                            if _has_small_dimension(g, ctx, threshold)])
+    return Ideal(ctx.vars, [
+        g for g in ctx.adjoin(W).reduced_gens()
+        if submodule_dim(Ideal(ctx.vars, [g]), ctx) < threshold])
 
 
-def _stabilized_closure_intersection(seqs, ctx, threshold, window=2,
-                                     n_max=DEFAULT_INTERSECT_N):
-    """Fold intersect over the closures of seqs[0], seqs[1], ...; the raw
-    intersection chain keeps shrinking m-adically, so stabilization is
-    detected on its certified dimension-<threshold part.
+def _stabilized_closure_intersection(seq, ctx, threshold):
+    """Theorem A: the dimension-<threshold part of the intersection of the
+    closures of seq^[n], n = 1, 2, ...  The raw intersections keep shrinking
+    m-adically, so `_stabilize` watches their certified parts.
 
-    Returns (small part, depth reached)."""
-    acc = None
-    part = None
-    streak = 0
-    for depth, seq in enumerate(seqs, start=1):
-        cl = limit_closure(seq).closure
-        acc = cl if acc is None else ideal_intersect(acc, cl)
-        nxt = _small_dimension_part(acc, ctx, threshold)
-        if part is not None and local_equal(part, nxt, ctx):
-            streak += 1
-            if streak >= window - 1:
-                return nxt, depth
-        else:
-            streak = 0
-        part = nxt
-    raise NotStabilized(
-        f"closure intersection did not stabilize within {n_max} steps")
+    Returns (newest chain term, chain length)."""
+    closures = (limit_closure(seq.powers(n)).closure for n in count(1))
+    parts = (_small_dimension_part(W, ctx, threshold)
+             for W in accumulate(closures, ideal_intersect))
+    chain, _ = _stabilize(parts, ctx, DEFAULT_INTERSECT_N, 2,
+                          "closure intersection")
+    return chain[-1], len(chain)
 
 
-def unmixed_component(ctx, sop, mode="theoremA", components=None,
-                      n_max=DEFAULT_INTERSECT_N):
-    """Largest submodule of R of dimension < d, as an ambient ideal.
-
-    mode 'theoremA': stabilized intersection over n of the closures of the
-    n-th powers of the sop.  mode 'assisted': intersect the user-supplied
-    top-dimensional primary components of the defining ideal.  With both
-    (mode='theoremA' and components given) the verdicts must agree locally.
-    """
+def unmixed_component(ctx, sop):
+    """Largest submodule of R of dimension < d, as an ambient ideal: the
+    stabilized intersection over n of the closures of the n-th powers of
+    the sop (Theorem A)."""
     if not is_sop(sop):
         raise ValueError("sequence is not a system of parameters")
-    d = ctx.dim
-    if mode == "assisted":
-        if not components:
-            raise ValueError("assisted mode needs components")
-        comp = _assisted_component(ctx, components, d)
-        _verify_small_dimension(ctx, comp, d)
-        return UnmixedComponentResult(comp, sop, 0, cross_check=None)
-    seqs = (sop.powers(n) for n in range(1, n_max + 1))
-    comp, depth = _stabilized_closure_intersection(seqs, ctx, d, n_max=n_max)
-    _verify_small_dimension(ctx, comp, d)
-    cross = None
-    if components:
-        assisted = _assisted_component(ctx, components, d)
-        cross = local_equal(comp, assisted, ctx)
-    return UnmixedComponentResult(comp, sop, depth, cross_check=cross)
-
-
-def _assisted_component(ctx, components, d):
-    """Intersect the supplied components of dimension d; components of
-    smaller dimension are dropped (they do not contribute to the unmixed
-    part)."""
-    top = [c for c in components if local_dim(c, ctx) == d]
-    if not top:
-        raise ValueError("no top-dimensional component supplied")
-    acc = None
-    for c in top:
-        acc = c if acc is None else ideal_intersect(acc, c)
-    return acc
-
-
-def _verify_small_dimension(ctx, comp, d):
-    """Raises NotStabilized unless every generator g of the component has
-    dim R*g < d."""
-    for g in comp.gens:
-        if not _has_small_dimension(g, ctx, d):
-            raise NotStabilized(
-                f"generator {g} fails the small-dimension criterion; "
-                "the closure intersection has not stabilized")
+    comp, depth = _stabilized_closure_intersection(sop, ctx, ctx.dim)
+    return UnmixedComponentResult(comp, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -205,8 +145,7 @@ def is_good_sop(sop, filtration):
     return True
 
 
-def dimension_filtration(ctx, sop, n_max=DEFAULT_INTERSECT_N, retries=8,
-                         seed=0):
+def dimension_filtration(ctx, sop, seed=0):
     """Filtration D_0 subset ... subset D_t = R with strictly increasing
     module dimensions, from stabilized intersections of prefix closures.
 
@@ -220,11 +159,11 @@ def dimension_filtration(ctx, sop, n_max=DEFAULT_INTERSECT_N, retries=8,
     rng = random.Random(seed)
     last = None
     for attempt, current in enumerate(_sop_candidates(sop, rng)):
-        if attempt > retries:
+        if attempt > FILTRATION_RETRIES:
             break
         if attempt > 0 and not is_sop(current):
             continue
-        filt = _filtration_candidate(ctx, current, n_max)
+        filt = _filtration_candidate(ctx, current)
         if is_good_sop(current, filt):
             filt.goodness_verified = True
             return filt
@@ -239,7 +178,6 @@ def _sop_candidates(sop, rng):
     reorderings with entries squared (pushing tail entries deeper into m,
     towards the annihilators of the small levels), then random
     recombinations."""
-    from itertools import permutations, product
     ctx = sop.ctx
     yield sop
     seen = {tuple(map(str, sop.entries))}
@@ -262,13 +200,12 @@ def _sop_candidates(sop, rng):
         yield SequenceInR(entries, ctx)
 
 
-def _filtration_candidate(ctx, sop, n_max):
+def _filtration_candidate(ctx, sop):
     d = ctx.dim
     levels = []
     for j in range(1, d + 1):
         prefix = SequenceInR(sop.entries[:j], ctx)
-        seqs = (prefix.powers(n) for n in range(1, n_max + 1))
-        Kj, _ = _stabilized_closure_intersection(seqs, ctx, j, n_max=n_max)
+        Kj, _ = _stabilized_closure_intersection(prefix, ctx, j)
         levels.append(Kj)
     chain = []
     dims = []

@@ -92,8 +92,7 @@ def split_ring():
     return RingFixture(ctx, SequenceInR([y, x + z], ctx),
                        {"x": x, "y": y, "z": z,
                         "good_sop": SequenceInR([x + z, y], ctx),
-                        "U": Ideal(V, [x]),
-                        "components": [Ideal(V, [x]), Ideal(V, [y, z])]})
+                        "U": Ideal(V, [x])})
 
 
 @pytest.fixture(scope="session")

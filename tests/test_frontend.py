@@ -171,6 +171,7 @@ def test_dispatch_values(split_session_results):
     assert by_line["sopcheck"][0].verdict is True
     assert by_line["goodsop"][0].verdict is False     # (y, x+z) as given
     assert by_line["unmixed"][0].generators == ["x"]
+    assert by_line["unmixed"][0].stabilization_index == 2
     assert by_line["detmap"][0].verdict is True
     assert by_line["catalan-demo"][0].verdict is True
     assert by_line["contract"][0].generators == ["s^2"]  # preimage of (x^2)
@@ -287,6 +288,16 @@ def test_cli_missing_file_exit_one(tmp_path):
     proc = run_cli([str(tmp_path / "nope.lim")])
     assert proc.returncode == 1
     assert "error:" in proc.stderr
+
+
+@pytest.mark.parametrize("window", ["0", "-1", "1"])
+def test_cli_stab_window_below_two_exit_one(window):
+    text = "ring P = QQ[x, y] / (0); seq S = [x, y]; show limclose(P, S);"
+    proc = run_cli(["-", "--stab-window", window], stdin_text=text)
+    assert proc.returncode == 1
+    assert f"stabilization window must be at least 2, got {window}" \
+        in proc.stderr
+    assert "index out of range" not in proc.stderr
 
 
 def test_cli_timeout_exit_three():

@@ -105,6 +105,13 @@ def test_closure_contains_the_ideal_and_reports_chain(split_ring):
     assert res.is_proper
 
 
+@pytest.mark.parametrize("window", [-1, 0, 1])
+def test_window_below_two_is_rejected(split_ring, window):
+    # a window of 1 compares no terms, and one below 1 indexes off the chain
+    with pytest.raises(ValueError, match=f"got {window}"):
+        limit_closure(split_ring.sop, window=window)
+
+
 def test_regular_sequence_closure_is_the_ideal(plane, space):
     # in a Cohen-Macaulay (here regular) ring sop = regular sequence and the
     # closure adds nothing

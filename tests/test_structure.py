@@ -4,9 +4,11 @@ scans, and closure contraction along a finite extension."""
 
 import pytest
 
+from limclose import structure
 from limclose.idealops import Ideal, ideal_intersect
 from limclose.localring import (
     LocalRingContext, SequenceInR, local_equal, local_contains, local_length,
+    NotStabilized,
 )
 from limclose.structure import (
     unmixed_component, dimension_filtration, is_good_sop,
@@ -21,10 +23,8 @@ from oracles import quotient_count, contracted_quotient_count
 
 def test_unmixed_component_split_ring(split_ring):
     ctx = split_ring.ctx
-    res = unmixed_component(ctx, split_ring.sop,
-                            components=split_ring.extras["components"])
+    res = unmixed_component(ctx, split_ring.sop)
     assert local_equal(res.component, split_ring.extras["U"], ctx)
-    assert res.cross_check is True
     assert res.intersection_depth >= 2
 
 
@@ -32,13 +32,6 @@ def test_unmixed_component_domain_is_zero(plane, catalan_ring):
     for fix in (plane, catalan_ring):
         res = unmixed_component(fix.ctx, fix.sop)
         assert local_contains(res.component, fix.ctx.zero_ideal(), fix.ctx)
-
-
-def test_unmixed_component_assisted_mode(split_ring):
-    ctx = split_ring.ctx
-    res = unmixed_component(ctx, split_ring.sop, mode="assisted",
-                            components=split_ring.extras["components"])
-    assert local_equal(res.component, split_ring.extras["U"], ctx)
 
 
 def test_unmixed_component_embedded_point():
@@ -65,6 +58,15 @@ def test_unmixed_ring_with_two_equal_dimension_branches():
     sop = SequenceInR([x + y], ctx)
     res = unmixed_component(ctx, sop)
     assert local_contains(res.component, ctx.zero_ideal(), ctx)
+
+
+def test_unmixed_component_cap_raises_with_partial_chain(split_ring,
+                                                         monkeypatch):
+    # one closure intersection cannot show two equal terms
+    monkeypatch.setattr(structure, "DEFAULT_INTERSECT_N", 1)
+    with pytest.raises(NotStabilized) as exc:
+        unmixed_component(split_ring.ctx, split_ring.sop)
+    assert len(exc.value.partial_chain) == 1
 
 
 def test_unmixed_component_requires_sop(split_ring):
