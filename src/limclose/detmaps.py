@@ -7,11 +7,9 @@ det(A) : R/(x)^lim -> R/(y)^lim.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .polycore import Polynomial, GREVLEX
-from .groebner import buchberger, ideal_member
-from .idealops import poly_divide_exact
+from .groebner import buchberger, exact_quotients, ideal_member
 from .localring import (
     SequenceInR, local_member, local_contains, is_local_unit_ideal,
 )
@@ -77,8 +75,7 @@ def determinant(matrix, vars):
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = poly_divide_exact(num, prev) if not prev.is_constant() \
-                    else num * Fraction(1, prev.constant_term)
+                m[i][j] = exact_quotients([num], prev, GREVLEX)[0]
             m[i][k] = Polynomial.zero(vars)
         prev = m[k][k]
     d = m[n - 1][n - 1]

@@ -16,7 +16,6 @@ from __future__ import annotations
 import json as _json
 import sys
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .polycore import (
     Polynomial, GREVLEX, LEX, catalan_truncated_generating_poly,
@@ -678,7 +677,10 @@ def _make_ring(stmt):
     vars = stmt.payload["vars"]
     where = f"line {stmt.line}"
     gens = [_eval_poly(e, vars, where) for e in stmt.payload["polys"]]
-    return LocalRingContext(vars, Ideal(vars, gens))
+    try:
+        return LocalRingContext(vars, Ideal(vars, gens))
+    except ValueError as exc:
+        raise SessionRunError(f"{where}: {exc}") from exc
 
 
 def _make_map(stmt, session):
@@ -697,26 +699,19 @@ def _make_map(stmt, session):
     missing = [v for v in src.vars if v not in images]
     if missing:
         raise SessionRunError(f"{where}: no image given for {missing[0]!r}")
-    rmap = RingMapPresentation(
-        source_vars=src.vars, source_ideal=src.defining,
-        target_vars=tgt.vars, target_ideal=tgt.defining,
-        images=images)
+    try:
+        rmap = RingMapPresentation(
+            source_vars=src.vars, source_ideal=src.defining,
+            target_vars=tgt.vars, target_ideal=tgt.defining,
+            images=images)
+    except ValueError as exc:
+        raise SessionRunError(f"{where}: {exc}") from exc
     return {"kind": "map", "map": rmap, "target_ring": tgt}
 
 
 # ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
-
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
-
 
 def render(result, format="text"):
     """Render a CommandResult; json output is schema-stable and exact."""
@@ -725,10 +720,10 @@ def render(result, format="text"):
             "schema_version": SCHEMA_VERSION,
             "kind": result.kind,
             "generators": result.generators,
-            "tables": _jsonable(result.tables),
+            "tables": result.tables,
             "verdict": result.verdict,
             "stabilization_index": result.stabilization_index,
-            "value": _jsonable(result.value),
+            "value": result.value,
             "warnings": list(result.warnings),
         }
         return _json.dumps(doc, sort_keys=True)
@@ -780,8 +775,12 @@ def main(argv=None):
                          "to limclose only")
     ap.add_argument("--json", action="store_true")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--timeout-secs", type=int, default=None)
+    ap.add_argument("--timeout-secs", type=int, default=None,
+                    help="stop the run with exit code 3 after this many "
+                         "seconds; 0 means no limit")
     ns = ap.parse_args(argv)
+    if ns.timeout_secs is not None and ns.timeout_secs < 0:
+        ap.error(f"--timeout-secs must be >= 0, got {ns.timeout_secs}")
 
     use_color = sys.stdout.isatty() and not os.environ.get("NO_COLOR")
 

@@ -11,7 +11,8 @@ row value, so keys compare like `MonomialOrder.key` and add like the
 exponents.  A run packs its inputs once and unpacks only the reduced basis
 it returns; a field that would overflow restarts the run with wider
 fields.  Every basis element is kept integer-primitive, its cofactor row
-scaled alike, so division never meets a fraction.
+scaled alike, so division never meets a fraction.  Membership, with or
+without a certificate, is one `normal_form` by the basis.
 
 Determinism: the division heap pops terms by descending int key, and
 divisors are tried in list order.  Each new basis element passes through
@@ -49,22 +50,11 @@ class GroebnerBasis:
 
     def __post_init__(self):
         self._leads = None
-        self._packed = None    # (packing, reducers of the generators)
 
     def leads(self):
         if self._leads is None:
             self._leads = [g.lead(self.order)[0] for g in self.generators]
         return self._leads
-
-    def _reducers(self, bits):
-        """(packing, reducers): the generators' integer-primitive multiples
-        packed with fields of at least `bits` bits, kept for the widest
-        packing built so far."""
-        if self._packed is None or self._packed[0].bits < bits:
-            packing = _packing(self.order, len(self.generators[0].vars), bits)
-            self._packed = (packing, [_reducer(packing.pack(g)[0])
-                                      for g in self.generators])
-        return self._packed
 
 
 class _Overflow(Exception):
@@ -400,7 +390,7 @@ def _buchberger(gens, packing, order, track):
 
 def _unpack_basis(packing, order, vars, basis, rows):
     """GroebnerBasis of the monic forms of packed primitive reducers, with
-    their cofactor rows (or None) divided alike; it keeps the reducers."""
+    their cofactor rows (or None) divided alike."""
     unpack = packing.unpack
     out = []
     out_rows = []
@@ -411,10 +401,8 @@ def _unpack_basis(packing, order, vars, basis, rows):
             out_rows.append([Polynomial(vars, {unpack(e): c * inv
                                                for e, c in entry.items()})
                              for entry in row])
-    gb = GroebnerBasis(out, order,
-                       origin_cofactors=out_rows if rows is not None else None)
-    gb._packed = (packing, basis)
-    return gb
+    return GroebnerBasis(out, order,
+                         origin_cofactors=out_rows if rows is not None else None)
 
 
 def _update(packing, leads, active, pairs, dead):
@@ -447,20 +435,13 @@ def _update(packing, leads, active, pairs, dead):
             kept.append(m)
             if not coprime:
                 heapq.heappush(pairs, (packing.degree(m), j, i, m))
-    return _retire(guard, leads, active)
-
-
-def _retire(guard, leads, active):
-    """The active list once the newest element joins it: every active
-    element whose lead the newest lead divides retires."""
-    mh = leads[-1]
-    return [j for j in active if (leads[j] - mh) & guard] + [len(leads) - 1]
+    return [j for j in active if (leads[j] - mh) & guard] + [i]
 
 
 def _minimal(guard, leads, active, n_in):
     """Indices of a minimal basis among the elements of the given leads:
     those whose lead no other lead strictly divides, and of equal leads the
-    first.  No active lead is divisible by a later lead (`_retire`), and
+    first.  No active lead is divisible by a later lead (`_update`), and
     the lead of a reduced S-polynomial by no earlier one.  So only the
     first n_in elements, the inputs, which are not reduced against each
     other, need a test: against the earlier active elements for a strict
@@ -508,37 +489,6 @@ def _reduce(packing, reducers, keep, rows):
     return reduced, red_rows if rows is not None else None
 
 
-def reduce_basis(gb):
-    """Unique reduced Groebner basis of a basis of non-zero generators:
-    minimal, monic, tail-reduced, sorted by leading monomial (ascending)."""
-    gens = gb.generators
-    rows = gb.origin_cofactors
-    if not gens:
-        return GroebnerBasis([], gb.order, origin_cofactors=rows)
-    vars = gens[0].vars
-
-    def run(bits):
-        packing = _packing(gb.order, len(vars), bits)
-        reducers = []
-        leads = []
-        active = []
-        packed_rows = []
-        for g, row in zip(gens, rows or gens):
-            terms, r = packing.pack(g)
-            reducers.append(_reducer(terms))
-            leads.append(terms[0][0])
-            active = _retire(packing.guard, leads, active)
-            if rows is not None:
-                packed_rows.append([
-                    {m: _ratio(c * r, re) for m, _, c in t}
-                    for t, re in map(packing.pack, row)])
-        keep = _minimal(packing.guard, leads, active, len(leads))
-        return _unpack_basis(packing, gb.order, vars, *_reduce(
-            packing, reducers, keep, packed_rows if rows is not None else None))
-
-    return _widening(_bits(gens), run)
-
-
 def ideal_member(f, gb):
     """Membership of f in the ideal of gb; returns (bool, Cofactors | None).
 
@@ -546,19 +496,11 @@ def ideal_member(f, gb):
     expresses f over the input generators; otherwise it is None.
     """
     rows = gb.origin_cofactors
-    if rows is None:
-        if not gb.generators:
-            return f.is_zero(), None
-
-        def run(bits):
-            packing, reducers = gb._reducers(bits)
-            rem, _ = _divide(packing.guard, packing.pack(f)[0], reducers)
-            return not rem, None
-
-        return _widening(_bits([f]), run)
-    nf = normal_form(f, gb.generators, gb.order, track=True)
+    nf = normal_form(f, gb.generators, gb.order, track=rows is not None)
     if not nf.remainder.is_zero():
         return False, None
+    if rows is None:
+        return True, None
     width = len(rows[0]) if rows else 0
     coefficients = [Polynomial.zero(f.vars)] * width
     for q, row in zip(nf.coefficients, rows):

@@ -156,11 +156,6 @@ def ideal_intersect(I, J):
                           if not g.involves([t_name])])
 
 
-def poly_divide_exact(p, g, order=GREVLEX):
-    """p / g when g | p; raises if the division leaves a remainder."""
-    return exact_quotients([p], g, order)[0]
-
-
 def ideal_colon(I, g):
     """I : g = (I cap (g)) / g, memoized in the shared cache by the canonical
     generators of I and g.  The intersection's reduced basis depends only on

@@ -49,13 +49,14 @@ class MixedClosureSpec:
 
 
 def colon_step(seq, n):
-    """One term of the union: ((x^[n+1]) + J) : (x_1...x_r)^n, ambient.
+    """One term of the union, ambient: ((b^[m+n]) + J) : (b_1...b_r)^n for
+    the sequence's power record seq = b^[m], or b = seq and m = 1.
 
-    For a sequence known to be y = x^[m], the cofinal direct system over the
-    base sequence is used instead: (y^[n+1]) : (y_1...y_r)^n is replaced by
-    ((x^[m+n]) + J) : (x_1...x_r)^n, which has the same union (both compute
-    the kernel of R/(y) -> H^r, the systems being linked by multiplication
-    by powers of x_1...x_r) and much smaller exponents.
+    For m = 1 this is ((x^[n+1]) + J) : (x_1...x_r)^n.  For m > 1 it is a
+    term of the cofinal direct system over the base sequence, which has the
+    same union as (y^[n+1]) : (y_1...y_r)^n for y = b^[m] (both compute the
+    kernel of R/(y) -> H^r, the systems being linked by multiplication by
+    powers of b_1...b_r) and much smaller exponents.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -63,14 +64,11 @@ def colon_step(seq, n):
     if any(e.is_zero() for e in seq.entries):
         # a zero entry: the colon by 0^n is the whole ring
         return Ideal(ctx.vars, [ctx.one()])
-    if seq.base is not None and seq.exponent > 1:
-        base, m = seq.base, seq.exponent
-        powered = ctx.adjoin(Ideal(ctx.vars,
-                                   [e ** (m + n) for e in base.entries]))
-        return colon_by_product(powered,
-                                [e for e in base.entries for _ in range(n)])
-    powered = ctx.adjoin(seq.powers(n + 1).ideal())
-    return colon_by_product(powered, [e ** n for e in seq.entries])
+    base, m = (seq.base, seq.exponent) if seq.base is not None else (seq, 1)
+    powered = ctx.adjoin(Ideal(ctx.vars,
+                               [e ** (m + n) for e in base.entries]))
+    return colon_by_product(powered,
+                            [e for e in base.entries for _ in range(n)])
 
 
 def _stabilize(terms, ctx, n_max, window, what):
@@ -123,11 +121,7 @@ def mixed_colon_step(spec, k):
 
 
 def limit_closure_mixed(spec, n_max=DEFAULT_N_MAX):
-    """Stabilized union over k of the mixed colon chain; a degenerate spec
-    with empty tail is the plain limit closure of the powered head."""
-    if not spec.tail.entries:
-        return limit_closure(spec.head.powers(spec.head_power),
-                             n_max=n_max).closure
+    """Stabilized union over k of the mixed colon chain."""
     chain, _ = _stabilize((mixed_colon_step(spec, k) for k in count(1)),
                           spec.head.ctx, n_max, 2, "mixed colon chain")
     return chain[-1]

@@ -52,9 +52,6 @@ class LocalRingContext:
 
     # -- basic ring elements --------------------------------------------------
 
-    def variable(self, name):
-        return Polynomial.variable(name, self.vars)
-
     def zero_poly(self):
         return Polynomial.zero(self.vars)
 
@@ -63,9 +60,6 @@ class LocalRingContext:
 
     def zero_ideal(self):
         return Ideal(self.vars, [])
-
-    def ideal(self, gens):
-        return Ideal(self.vars, list(gens))
 
     def m_power(self, k):
         """m^k, generated by all degree-k monomials."""

@@ -271,6 +271,23 @@ def test_cli_module_error_exit_one():
     assert "unknown variable 'w'" in proc.stderr
 
 
+def test_cli_ring_with_a_unit_relation_names_its_line():
+    proc = run_cli(["-"], stdin_text="ring P = QQ[x] / (0);\n"
+                                     "ring A = QQ[x] / (x - 1);")
+    assert proc.returncode == 1
+    assert "error: line 2: defining ideal has a unit at the origin" \
+        in proc.stderr
+
+
+def test_cli_ill_defined_map_names_its_line():
+    text = ("ring A = QQ[x] / (x^2);\nring B = QQ[y] / (y^3);\n"
+            "map f = A -> B [x -> y];")
+    proc = run_cli(["-"], stdin_text=text)
+    assert proc.returncode == 1
+    assert "error: line 3: map not well defined: image of x^2 not in " \
+        "target ideal" in proc.stderr
+
+
 def test_cli_finite_field_exit_two():
     proc = run_cli(["-"], stdin_text="ring P = Fp(5)[x] / (0);")
     assert proc.returncode == 2
@@ -298,6 +315,13 @@ def test_cli_stab_window_below_two_exit_one(window):
     assert f"stabilization window must be at least 2, got {window}" \
         in proc.stderr
     assert "index out of range" not in proc.stderr
+
+
+def test_cli_negative_timeout_exit_two():
+    proc = run_cli(["-", "--timeout-secs", "-1"],
+                   stdin_text="ring P = QQ[x] / (0); show dim(P);")
+    assert proc.returncode == 2
+    assert "--timeout-secs must be >= 0, got -1" in proc.stderr
 
 
 def test_cli_timeout_exit_three():

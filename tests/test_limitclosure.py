@@ -84,6 +84,21 @@ def test_colon_by_product_by_zero_raises(plane):
             colon_by_product(I, factors)
 
 
+def test_colon_step_matches_the_colon_by_the_powered_entries(
+        split_ring, catalan_ring):
+    # ((x^[n+1]) + J) : (x_1 ... x_r)^n with one colon factor x_i^n per
+    # entry, against colon_step's factor list x_i repeated n times
+    x, y, u, v = (catalan_ring.extras[k] for k in "xyuv")
+    cases = [split_ring.sop, catalan_ring.sop,
+             SequenceInR([(x + y) ** 2, u, v], catalan_ring.ctx)]
+    for seq in cases:
+        ctx = seq.ctx
+        for n in (1, 2, 3):
+            powered = ctx.adjoin(seq.powers(n + 1).ideal())
+            want = colon_by_product(powered, [e ** n for e in seq.entries])
+            assert ideals_equal(colon_step(seq, n), want), (seq.entries, n)
+
+
 def test_chain_is_monotone_on_every_fixture(plane, space, split_ring,
                                             catalan_ring):
     for fix in (plane, space, split_ring, catalan_ring):

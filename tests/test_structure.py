@@ -256,11 +256,12 @@ def test_veronese_lengths_match_semigroup_oracle(veronese_pair):
 def test_cyclic_cover_unmixed_guard(split_ring):
     # the split ring is not unmixed: the guard must fire before any map work
     from limclose.idealops import RingMapPresentation
+    from limclose.polycore import Polynomial
     ctx = split_ring.ctx
     ident = RingMapPresentation(
         source_vars=ctx.vars, source_ideal=ctx.defining,
         target_vars=ctx.vars, target_ideal=ctx.defining,
-        images={v: ctx.variable(v) for v in ctx.vars})
+        images={v: Polynomial.variable(v, ctx.vars) for v in ctx.vars})
     with pytest.raises(ValueError):
         cyclic_cover_closure_check(ident, split_ring.sop,
                                    check_unmixed_sop=split_ring.sop)
