@@ -34,7 +34,8 @@ from .limitclosure import (
     monomial_property, DEFAULT_N_MAX,
 )
 from .structure import (
-    unmixed_component, dimension_filtration, _filtration_candidate,
+    unmixed_component, dimension_filtration, filtration_levels,
+    DimensionFiltration,
     is_good_sop, ij_functions, topology_scan, multiplicity,
 )
 from .detmaps import express_in_terms, detmap_injective
@@ -446,7 +447,12 @@ def _evaluate(cmd, args, session, where):
         elif kind == "poly":
             value = _eval_poly(node, ctx.vars, where)
         elif kind == "int":
+            # every integer argument is a count or a power
             value = _as_int(node, where)
+            if value < 1:
+                raise SessionRunError(
+                    f"{where}: {cmd}: integer arguments must be at least 1,"
+                    f" got {value}")
         else:  # var
             if node[0] != "var":
                 raise SessionRunError(f"{where}: {cmd} takes variable names")
@@ -553,8 +559,9 @@ def _dimfilt(config, ctx, s):
 
 
 def _goodsop(config, ctx, s):
-    filt = _filtration_candidate(ctx, s)
-    return CommandResult(kind="verdict", verdict=is_good_sop(s, filt))
+    filt = DimensionFiltration(*filtration_levels(ctx), s, False)
+    return CommandResult(kind="verdict",
+                         verdict=is_sop(s) and is_good_sop(s, filt))
 
 
 def _ij(config, ctx, s, n_max=4):

@@ -241,6 +241,53 @@ def ideal_saturate(I, g):
         k += 1
 
 
+def hull(J, k):
+    """Intersection of the primary components of J of dimension >= k, by
+    extension and contraction (Gianni, Trager & Zacharias 1988;
+    Greuel-Pfister, ch. 4).
+
+    For a k-subset u of the variables with J cap K[u] = 0, the reduced basis
+    of J under the block order that eliminates the other variables is one of
+    J*K(u)[others], and J : h_u^infinity, for h_u the product of its
+    distinct leading coefficients in K[u], is the intersection of the
+    components whose primes meet K[u] only in 0.  Every component of dimension >= k has such a u, so
+    the intersection over all of them is the answer; with no such u it is
+    the unit ideal.  Components away from the origin are units locally."""
+    vars = J.vars
+    out = None
+    for u in combinations(vars, k):
+        rest = [v for v in vars if v not in u]
+        if not rest:                        # u is every variable
+            if J.gens:
+                continue
+            return Ideal(vars, [])
+        order = _elimination_order(vars, rest)
+        basis = _groebner(vars, J.gens, order).generators
+        if not all(g.involves(rest) for g in basis):
+            # J meets K[u]: h_u has a factor in J, so J : h_u^infinity is
+            # the unit ideal and changes nothing
+            continue
+        idx = [vars.index(v) for v in rest]
+        h = Polynomial.constant(1, vars)
+        for lc in {_u_coefficient(g, g.lead(order)[0], idx).canonical()[0]
+                   for g in basis}:
+            h = h * lc
+        if h.is_constant():
+            return Ideal(vars, list(J.gens))    # one term is J itself
+        sat, _ = ideal_saturate(J, h)
+        out = sat if out is None else ideal_intersect(out, sat)
+    if out is None:
+        return Ideal(vars, [Polynomial.constant(1, vars)])
+    return out
+
+
+def _u_coefficient(g, m, idx):
+    """Coefficient in K[u] of g at the monomial m in the variables idx."""
+    return Polynomial(g.vars, {
+        tuple(0 if i in idx else a for i, a in enumerate(e)): c
+        for e, c in g.terms.items() if all(e[i] == m[i] for i in idx)})
+
+
 def _elimination_order(vars, drop_names):
     """Block order on vars that eliminates drop_names: the dropped variables
     come first in the comparison, the others keep their order."""

@@ -1,7 +1,15 @@
 """Structural invariants of the local ring: unmixed component via
-stabilized intersections of limit closures, dimension filtration, good-sop
-verification, Hilbert-Samuel tables and multiplicity, length-difference
-functions, topology scans, and closure contraction along finite extensions.
+stabilized intersections of limit closures (Theorem A), dimension
+filtration, good-sop verification, Hilbert-Samuel tables and multiplicity,
+length-difference functions, topology scans, and closure contraction along
+finite extensions.
+
+The filtration levels are exact and do not depend on a sop: D_i is
+hull(J, i + 1) / J, the intersection of the components of J of dimension
+> i by extension and contraction (`idealops.hull`), computed once per
+filtration, not once per sop candidate.  A sop enters only the goodness
+test.  The unmixed component stays on Theorem A, the paper's route, and
+the hull is its test oracle.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ from itertools import accumulate, count, permutations, product
 
 from .polycore import Polynomial
 from .idealops import (
-    Ideal, ideal_power, ideal_intersect, ideal_colon_ideal,
+    Ideal, ideal_power, ideal_intersect, ideal_colon_ideal, hull,
     contract,
 )
 from .localring import (
@@ -145,17 +153,36 @@ def is_good_sop(sop, filtration):
     return True
 
 
-def dimension_filtration(ctx, sop, seed=0):
-    """Filtration D_0 subset ... subset D_t = R with strictly increasing
-    module dimensions, from stabilized intersections of prefix closures.
+def filtration_levels(ctx):
+    """The levels D_0 subset ... subset D_t = R of the dimension filtration
+    and their module dimensions, strictly increasing, ending with R and d.
+    D_i, the largest submodule of dimension <= i, is hull(J, i + 1) / J;
+    zero and locally repeated levels are dropped.  No sop is involved."""
+    chain, dims = [], []
+    for j in range(1, ctx.dim + 1):
+        K = hull(ctx.defining, j)
+        dm = submodule_dim(K, ctx)
+        if dm < 0 or chain and local_equal(chain[-1], K, ctx):
+            continue
+        chain.append(K)
+        dims.append(dm)
+    chain.append(ctx.adjoin(Ideal(ctx.vars, [ctx.one()])))  # R itself
+    dims.append(ctx.dim)
+    return chain, dims
 
-    Goodness of the sop is verified against the computed candidate chain;
-    on failure the sop is perturbed (entries pushed deeper into m) and the
-    computation retried; the last candidate is returned flagged unverified
+
+def dimension_filtration(ctx, sop, seed=0):
+    """The dimension filtration of R (`filtration_levels`), with a sop that
+    is good for it.
+
+    Goodness of the sop is verified against the chain; on failure the sop
+    is perturbed (reordered, entries pushed deeper into m, recombined) and
+    the test retried; the last candidate is returned flagged unverified
     when retries are exhausted.
     """
     if not is_sop(sop):
         raise ValueError("sequence is not a system of parameters")
+    chain, dims = filtration_levels(ctx)
     rng = random.Random(seed)
     last = None
     for attempt, current in enumerate(_sop_candidates(sop, rng)):
@@ -163,12 +190,10 @@ def dimension_filtration(ctx, sop, seed=0):
             break
         if attempt > 0 and not is_sop(current):
             continue
-        filt = _filtration_candidate(ctx, current)
-        if is_good_sop(current, filt):
-            filt.goodness_verified = True
-            return filt
-        last = filt
-    last.goodness_verified = False
+        last = DimensionFiltration(chain, dims, current, False)
+        if is_good_sop(current, last):
+            last.goodness_verified = True
+            return last
     return last
 
 
@@ -198,28 +223,6 @@ def _sop_candidates(sop, rng):
         if i != j:
             entries[i] = entries[i] + rng.choice([1, -1, 2]) * entries[j]
         yield SequenceInR(entries, ctx)
-
-
-def _filtration_candidate(ctx, sop):
-    d = ctx.dim
-    levels = []
-    for j in range(1, d + 1):
-        prefix = SequenceInR(sop.entries[:j], ctx)
-        Kj, _ = _stabilized_closure_intersection(prefix, ctx, j)
-        levels.append(Kj)
-    chain = []
-    dims = []
-    for Kj in levels:
-        dm = submodule_dim(Kj, ctx)
-        if dm < 0:
-            continue
-        if chain and local_equal(chain[-1], Kj, ctx):
-            continue
-        chain.append(Kj)
-        dims.append(dm)
-    chain.append(ctx.adjoin(Ideal(ctx.vars, [ctx.one()])))  # R itself
-    dims.append(d)
-    return DimensionFiltration(chain, dims, sop, goodness_verified=False)
 
 
 # ---------------------------------------------------------------------------

@@ -231,6 +231,17 @@ def test_text_rendering_kinds():
     assert len(table) >= 3
 
 
+def test_goodsop_rejects_a_sequence_that_is_not_a_sop():
+    # (y) is too short and (y, x) cuts out the z-axis, a line; the split
+    # ring's good sop (x + z, y) stays good
+    session = parse_session(
+        "ring A = QQ[x, y, z] / (x*y, x*z);"
+        " seq S1 = [y]; seq S2 = [y, x]; seq G = [x + z, y];"
+        " show goodsop(A, S1); show goodsop(A, S2); show goodsop(A, G);")
+    verdicts = [res.verdict for _, res in run_session(session)]
+    assert verdicts == [False, False, True]
+
+
 # -- CLI ----------------------------------------------------------------------
 
 def run_cli(args, stdin_text=None, cwd=None):
@@ -315,6 +326,19 @@ def test_cli_stab_window_below_two_exit_one(window):
     assert f"stabilization window must be at least 2, got {window}" \
         in proc.stderr
     assert "index out of range" not in proc.stderr
+
+
+@pytest.mark.parametrize("show,value", [
+    ("topo(P, S, -1, 2)", -1), ("catalan-demo(-2)", -2), ("ij(P, S, 0)", 0),
+    ("topo(P, S, 2, 0)", 0)])
+def test_cli_non_positive_integer_argument_exit_one(show, value):
+    text = f"ring P = QQ[x, y] / (0); seq S = [x, y]; show {show};"
+    proc = run_cli(["-"], stdin_text=text)
+    assert proc.returncode == 1
+    command = show.split("(")[0]
+    assert f"error: line 1: {command}: integer arguments must be at least " \
+        f"1, got {value}" in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_cli_negative_timeout_exit_two():

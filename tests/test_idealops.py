@@ -10,12 +10,14 @@ from limclose.groebner import buchberger, exact_quotients
 from limclose.polycore import Polynomial, GREVLEX
 from limclose.idealops import (
     Ideal, ideal_sum, ideal_power, ideal_intersect,
-    ideal_colon, ideal_colon_ideal, ideal_saturate, ideals_equal,
+    ideal_colon, ideal_colon_ideal, ideal_saturate, ideals_equal, hull,
     eliminate, contract, RingMapPresentation, standard_monomials,
     AmbientMismatch, NotZeroDimensional, _lead_dim,
     _fresh_tag_var,
 )
-from limclose.localring import LocalRingContext, _local_leads
+from limclose.localring import (
+    LocalRingContext, _local_leads, local_equal, is_local_unit_ideal,
+)
 
 from oracles import monomials_up_to, rank_exact
 
@@ -247,6 +249,53 @@ def test_saturation_is_stable_colon_chain():
             continue
         sat, k = ideal_saturate(I, g)
         assert ideals_equal(ideal_colon(sat, g), sat)
+
+
+def _linear_prime(rng, codim):
+    """A prime generated by `codim` independent random linear forms."""
+    while True:
+        P = Ideal(VARS, [sum((rng.randint(-2, 2) * v for v in (X, Y, Z)),
+                             Polynomial.zero(VARS)) for _ in range(codim)])
+        basis = P.reduced_gens()
+        if len(basis) == codim and all(g.total_degree() == 1 for g in basis):
+            return P
+
+
+def _intersection(ideals):
+    out = Ideal(VARS, [ONE])
+    for Q in ideals:
+        out = ideal_intersect(out, Q)
+    return out
+
+
+# components away from the origin, with their dimensions
+FAR_COMPONENTS = [(Ideal(VARS, [X - ONE, Y]), 1), (Ideal(VARS, [Z - ONE]), 2),
+                  (Ideal(VARS, [X + Y - ONE, Z]), 1)]
+
+
+def test_hull_of_an_intersection_of_known_components():
+    # J is an intersection of powers of random linear primes through the
+    # origin (primary, of dimension 3 - codim; embedded ones included) and
+    # one component away from the origin.  hull(J, k) must be the
+    # intersection of the components of dimension >= k, and the far one is
+    # a unit locally.
+    rng = random.Random(2024)
+    for _ in range(20):
+        comps = []
+        for _ in range(rng.randint(1, 3)):
+            codim = rng.randint(1, 3)
+            comps.append((ideal_power(_linear_prime(rng, codim),
+                                      rng.randint(1, 2)), 3 - codim))
+        far, far_dim = rng.choice(FAR_COMPONENTS)
+        J = _intersection([Q for Q, _ in comps] + [far])
+        ctx = LocalRingContext(VARS, J)
+        assert is_local_unit_ideal(far, ctx)
+        for k in range(4):
+            near = [Q for Q, d in comps if d >= k]
+            H = hull(J, k)
+            assert ideals_equal(
+                H, _intersection(near + ([far] if far_dim >= k else []))), k
+            assert local_equal(H, _intersection(near), ctx), k
 
 
 def test_poly_divide_exact():

@@ -5,7 +5,8 @@ scans, and closure contraction along a finite extension."""
 import pytest
 
 from limclose import structure
-from limclose.idealops import Ideal, ideal_intersect
+from limclose.idealops import Ideal, ideal_intersect, hull
+from limclose.polycore import Polynomial
 from limclose.localring import (
     LocalRingContext, SequenceInR, local_equal, local_contains, local_length,
     NotStabilized,
@@ -13,7 +14,7 @@ from limclose.localring import (
 from limclose.structure import (
     unmixed_component, dimension_filtration, is_good_sop,
     submodule_dim, hilbert_samuel, multiplicity, ij_functions, topology_scan,
-    cyclic_cover_closure_check,
+    cyclic_cover_closure_check, _stabilized_closure_intersection,
 )
 
 from oracles import quotient_count, contracted_quotient_count
@@ -58,6 +59,26 @@ def test_unmixed_ring_with_two_equal_dimension_branches():
     sop = SequenceInR([x + y], ctx)
     res = unmixed_component(ctx, sop)
     assert local_contains(res.component, ctx.zero_ideal(), ctx)
+
+
+def test_unmixed_component_is_the_top_dimensional_hull(
+        plane, split_ring, three_level_ring, catalan_ring, glued_ring):
+    # Theorem A against the exact extension-contraction hull of J; the
+    # glued ring's own (y, u, v) is not a sop (the x-axis survives it)
+    x, y, u, v = (catalan_ring.extras[n] for n in "xyuv")
+    glued = glued_ring.ctx
+    cases = [(fix.ctx, fix.sop) for fix in
+             (plane, split_ring, three_level_ring, catalan_ring)]
+    cases.append((glued, SequenceInR([x + y, u, v], glued)))
+    # the two inline rings above: (x^2, xy) and (xy^2)
+    V = ("x", "y")
+    a, b = (Polynomial.variable(n, V) for n in V)
+    for relations, sop in (([a ** 2, a * b], [b]), ([a * b ** 2], [a + b])):
+        ctx = LocalRingContext(V, Ideal(V, relations))
+        cases.append((ctx, SequenceInR(sop, ctx)))
+    for ctx, sop in cases:
+        U = unmixed_component(ctx, sop).component
+        assert local_equal(U, hull(ctx.defining, ctx.dim), ctx), ctx.defining
 
 
 def test_unmixed_component_cap_raises_with_partial_chain(split_ring,
@@ -122,6 +143,35 @@ def test_filtration_three_levels(three_level_ring):
     for small, big in zip(filt.chain, filt.chain[1:]):
         assert local_contains(small, big, ctx)
         assert not local_equal(small, big, ctx)
+
+
+def test_filtration_does_not_depend_on_the_sop(split_ring, three_level_ring):
+    split_ctx = split_ring.ctx
+    three_ctx = three_level_ring.ctx
+    x, y, z = (three_level_ring.extras[n] for n in "xyz")
+    cases = [
+        (split_ctx, split_ring.sop, split_ring.extras["good_sop"]),
+        (three_ctx, three_level_ring.sop,
+         SequenceInR([x + z, y ** 2], three_ctx)),
+    ]
+    for ctx, given, good in cases:
+        a, b = given.entries
+        perturbed = SequenceInR([a + 2 * b, b ** 2], ctx)
+        chains = [dimension_filtration(ctx, s) for s in (given, good,
+                                                         perturbed)]
+        first = chains[0]
+        assert is_good_sop(good, first)
+        for filt in chains[1:]:
+            assert filt.dims == first.dims
+            assert all(local_equal(D, E, ctx)
+                       for D, E in zip(filt.chain, first.chain))
+        # Theorem A stays the oracle: the part of dimension < j of the
+        # closures of the good sop's j-prefix is the level of dimension j - 1
+        for D, dim in zip(first.chain[:-1], first.dims[:-1]):
+            j = dim + 1
+            prefix = SequenceInR(good.entries[:j], ctx)
+            K, _ = _stabilized_closure_intersection(prefix, ctx, j)
+            assert local_equal(D, K, ctx), (ctx.defining, j)
 
 
 def test_filtration_of_domain_is_trivial(plane):
