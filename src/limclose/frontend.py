@@ -665,8 +665,12 @@ COMMANDS = {
 def run_session(session, config=None):
     """Evaluate every statement in order; returns the list of (statement,
     CommandResult) pairs for show statements."""
-    config = config or Config()
-    out = []
+    return list(_evaluated_shows(session, config or Config()))
+
+
+def _evaluated_shows(session, config):
+    """Evaluate the statements in order, yielding (statement, CommandResult)
+    for each show as soon as it is computed."""
     for stmt in session.statements:
         if stmt.kind == "ring":
             session.bindings[stmt.name] = _make_ring(stmt)
@@ -676,8 +680,7 @@ def run_session(session, config=None):
         elif stmt.kind == "map":
             session.bindings[stmt.name] = _make_map(stmt, session)
         else:
-            out.append((stmt, run_command(stmt, session, config)))
-    return out
+            yield stmt, run_command(stmt, session, config)
 
 
 def _make_ring(stmt):
@@ -811,9 +814,18 @@ def main(argv=None):
         signal.signal(signal.SIGALRM, on_alarm)
         signal.alarm(ns.timeout_secs)
 
+    fmt = "json" if ns.json else "text"
     try:
         session = parse_session(text)
-        results = run_session(session, config)
+        # each result is printed as it completes, so a later failing or
+        # timed-out show keeps the ones before it
+        for stmt, result in _evaluated_shows(session, config):
+            header = f"# {stmt.name} (line {stmt.line})"
+            if fmt == "text":
+                if use_color:
+                    header = f"\x1b[1m{header}\x1b[0m"
+                print(header)
+            print(render(result, fmt), flush=True)
     except SessionParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
@@ -826,15 +838,6 @@ def main(argv=None):
     finally:
         if ns.timeout_secs:
             signal.alarm(0)
-
-    fmt = "json" if ns.json else "text"
-    for stmt, result in results:
-        header = f"# {stmt.name} (line {stmt.line})"
-        if fmt == "text":
-            if use_color:
-                header = f"\x1b[1m{header}\x1b[0m"
-            print(header)
-        print(render(result, fmt))
     return 0
 
 

@@ -402,14 +402,17 @@ def standard_monomials(I, order=GREVLEX, leads=None):
     mono = [0] * nvars
 
     def rec(i):
-        if i == nvars:
-            t = tuple(mono)
-            if not any(mono_divides(m, t) for m in leads):
-                out.append(t)
-            return
+        # the standard monomials are closed under division: once a prefix
+        # (zeros after it) lies in the lead ideal, so do all larger ones
         for e in range(caps[i]):
             mono[i] = e
-            rec(i + 1)
+            t = tuple(mono)
+            if any(mono_divides(m, t) for m in leads):
+                break
+            if i + 1 == nvars:
+                out.append(t)
+            else:
+                rec(i + 1)
         mono[i] = 0
 
     rec(0)

@@ -3,20 +3,30 @@ and the monomial-property test.
 
 The closure of x_1, ..., x_r is the increasing union over n of
 (x_1^{n+1}, ..., x_r^{n+1}) : (x_1 ... x_r)^n, taken in the local ring.
-Stabilization is detected by a window of consecutive locally-equal chain
-terms (`_stabilize`, which also stops the closure intersections of
-`structure`); Noetherianity guarantees termination but gives no bound, so the
-window is a heuristic and callers cross-check stable values independently.
+Stabilization is detected by a window of consecutive equal chain terms
+(`_stabilize`, which also stops the closure intersections of `structure`);
+Noetherianity guarantees termination but gives no bound, so the window is a
+heuristic and callers cross-check stable values independently.
+
+Only the comparison inside the window is exact.  When the sequence is
+m-primary, the window runs over the colengths len R/chain[n] (`_colength`),
+which two local standard bases give without a colon; the chain increases,
+so two terms are locally equal exactly when their colengths are, and the
+one term returned is then built by `colon_step`.  Where the colengths are
+infinite the window compares the colon terms themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial, reduce
 from itertools import count
+from operator import eq, mul
 
 from .idealops import Ideal, colon_by_product
 from .localring import (
-    SequenceInR, local_equal, is_local_unit_ideal, is_sop, NotStabilized,
+    SequenceInR, local_equal, local_length, is_local_unit_ideal, is_sop,
+    NotStabilized, NotMPrimary,
 )
 
 
@@ -27,7 +37,8 @@ DEFAULT_N_MAX = 12
 class LimitClosureResult:
     closure: Ideal            # ambient representative, defining ideal adjoined
     stabilization_index: int  # first n with chain[n] == chain[n+1] == ...
-    chain: list               # chain[k] is the colon at step k+1
+    chain: list               # chain[k] stands for the colon at step k+1: its
+                              # colength, or the ideal where that is infinite
     is_proper: bool           # closure != R locally
 
 
@@ -48,6 +59,14 @@ class MixedClosureSpec:
                 raise ValueError("head and tail live in different rings")
 
 
+def _powered(seq, n):
+    """(b^[m+n]) and the entries of b, for the sequence's power record
+    seq = b^[m], or b = seq and m = 1."""
+    base, m = (seq.base, seq.exponent) if seq.base is not None else (seq, 1)
+    return (Ideal(seq.ctx.vars, [e ** (m + n) for e in base.entries]),
+            base.entries)
+
+
 def colon_step(seq, n):
     """One term of the union, ambient: ((b^[m+n]) + J) : (b_1...b_r)^n for
     the sequence's power record seq = b^[m], or b = seq and m = 1.
@@ -64,18 +83,32 @@ def colon_step(seq, n):
     if any(e.is_zero() for e in seq.entries):
         # a zero entry: the colon by 0^n is the whole ring
         return Ideal(ctx.vars, [ctx.one()])
-    base, m = (seq.base, seq.exponent) if seq.base is not None else (seq, 1)
-    powered = ctx.adjoin(Ideal(ctx.vars,
-                               [e ** (m + n) for e in base.entries]))
-    return colon_by_product(powered,
-                            [e for e in base.entries for _ in range(n)])
+    powered, base = _powered(seq, n)
+    return colon_by_product(ctx.adjoin(powered),
+                            [e for e in base for _ in range(n)])
 
 
-def _stabilize(terms, ctx, n_max, window, what):
+def _colength(seq, n):
+    """len R/colon_step(seq, n), from two local standard bases and no colon.
+
+    With I = (b^[m+n]) and Q = b_1...b_r, the term I : Q^n contains I, and
+    modulo I it is the kernel of multiplication by Q^n on M = R/I, whose
+    length is that of M/Q^n M.  So
+        len R/(I : Q^n) = len R/I - len R/(I + (Q^n)).
+    Raises NotMPrimary when (b) is not m-primary."""
+    if any(e.is_zero() for e in seq.entries):
+        return 0
+    powered, base = _powered(seq, n)
+    q = reduce(mul, base) ** n
+    return (local_length(powered, seq.ctx)
+            - local_length(Ideal(powered.vars, powered.gens + [q]), seq.ctx))
+
+
+def _stabilize(terms, same, n_max, window, what):
     """Chain the first n_max terms of the iterator `terms`, stopped once
-    `window` consecutive terms are locally equal; returns the chain and the
-    index of the first term of that run.  Raises NotStabilized (carrying the
-    partial chain) otherwise."""
+    `window` consecutive terms are equal under `same`; returns the chain and
+    the index of the first term of that run.  Raises NotStabilized (carrying
+    the partial chain) otherwise."""
     if window < 2:
         raise ValueError(f"stabilization window must be at least 2, "
                          f"got {window}")
@@ -83,20 +116,36 @@ def _stabilize(terms, ctx, n_max, window, what):
     for _, term in zip(range(n_max), terms):
         chain.append(term)
         if len(chain) >= window and all(
-                local_equal(chain[-1], chain[-k - 1], ctx)
-                for k in range(1, window)):
+                same(chain[-1], chain[-k - 1]) for k in range(1, window)):
             return chain, len(chain) - window + 1
     err = NotStabilized(f"{what} did not stabilize within n_max={n_max}")
     err.partial_chain = chain
     raise err
 
 
+def _colength_window(seq, n_max, window):
+    """`_stabilize` over the colengths of the colon chain; raises
+    NotMPrimary at the first term when they are infinite."""
+    return _stabilize((_colength(seq, n) for n in count(1)), eq, n_max,
+                      window, "colon chain")
+
+
 def limit_closure(seq, n_max=DEFAULT_N_MAX, window=2):
-    """Iterate colon_step until `window` consecutive chain terms are locally
-    equal; raises NotStabilized (carrying the partial chain) otherwise."""
-    chain, stable_at = _stabilize((colon_step(seq, n) for n in count(1)),
-                                  seq.ctx, n_max, window, "colon chain")
-    closure = chain[stable_at - 1]
+    """Iterate the colon chain until `window` consecutive terms are locally
+    equal; raises NotStabilized (carrying the partial chain) otherwise.
+
+    An m-primary sequence is windowed over exact colengths, and only the
+    returned term is built as a colon; any other sequence is windowed over
+    its colon terms."""
+    try:
+        chain, stable_at = _colength_window(seq, n_max, window)
+    except NotMPrimary:
+        chain, stable_at = _stabilize(
+            (colon_step(seq, n) for n in count(1)),
+            partial(local_equal, ctx=seq.ctx), n_max, window, "colon chain")
+        closure = chain[stable_at - 1]
+    else:
+        closure = colon_step(seq, stable_at)
     # the closure contains J, which has no unit at the origin, so it is
     # locally the unit ideal iff one of its generators is a unit there
     return LimitClosureResult(
@@ -105,6 +154,13 @@ def limit_closure(seq, n_max=DEFAULT_N_MAX, window=2):
         chain=chain,
         is_proper=not is_local_unit_ideal(closure, seq.ctx),
     )
+
+
+def closure_colength(seq, n_max=DEFAULT_N_MAX):
+    """len R/(x)^lim for an m-primary sequence, read off the colength window
+    without building the closure; raises NotMPrimary otherwise."""
+    chain, stable_at = _colength_window(seq, n_max, 2)
+    return chain[stable_at - 1]
 
 
 def mixed_colon_step(spec, k):
@@ -123,7 +179,8 @@ def mixed_colon_step(spec, k):
 def limit_closure_mixed(spec, n_max=DEFAULT_N_MAX):
     """Stabilized union over k of the mixed colon chain."""
     chain, _ = _stabilize((mixed_colon_step(spec, k) for k in count(1)),
-                          spec.head.ctx, n_max, 2, "mixed colon chain")
+                          partial(local_equal, ctx=spec.head.ctx), n_max, 2,
+                          "mixed colon chain")
     return chain[-1]
 
 
@@ -131,4 +188,4 @@ def monomial_property(seq, n_max=DEFAULT_N_MAX):
     """True iff the closure of the sop is proper, i.e. 1 not in (x)^lim."""
     if not is_sop(seq):
         raise ValueError("sequence is not a system of parameters")
-    return limit_closure(seq, n_max=n_max).is_proper
+    return closure_colength(seq, n_max=n_max) > 0

@@ -26,9 +26,10 @@ from .idealops import (
 
 
 class NotStabilized(RuntimeError):
-    """A chain (colons, closure intersections, Hilbert-Samuel differences)
-    did not stabilize within its cap.  Stabilization is read off a window
-    of equal terms: the one heuristic left."""
+    """A chain (colon terms or their colengths, closure intersections,
+    Hilbert-Samuel differences) did not stabilize within its cap.
+    Stabilization is read off a window of equal terms: the one heuristic
+    left."""
 
 
 class NotMPrimary(ValueError):
@@ -49,6 +50,7 @@ class LocalRingContext:
                 raise ValueError(
                     "defining ideal has a unit at the origin; localization is zero")
         self._dim = None
+        self._filtration = None  # structure.filtration_levels, once
 
     # -- basic ring elements --------------------------------------------------
 

@@ -7,15 +7,16 @@ finite extensions.
 The filtration levels are exact and do not depend on a sop: D_i is
 hull(J, i + 1) / J, the intersection of the components of J of dimension
 > i by extension and contraction (`idealops.hull`), computed once per
-filtration, not once per sop candidate.  A sop enters only the goodness
-test.  The unmixed component stays on Theorem A, the paper's route, and
-the hull is its test oracle.
+ring and kept on its context, not once per sop candidate.  A sop enters
+only the goodness test.  The unmixed component stays on Theorem A, the
+paper's route, and the hull is its test oracle.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import accumulate, count, permutations, product
 
 from .polycore import Polynomial
@@ -27,7 +28,7 @@ from .localring import (
     LocalRingContext, SequenceInR, local_equal, local_contains, local_member,
     local_length, local_dim, is_sop, NotStabilized,
 )
-from .limitclosure import limit_closure, _stabilize
+from .limitclosure import limit_closure, closure_colength, _stabilize
 
 
 DEFAULT_INTERSECT_N = 8
@@ -111,8 +112,8 @@ def _stabilized_closure_intersection(seq, ctx, threshold):
     closures = (limit_closure(seq.powers(n)).closure for n in count(1))
     parts = (_small_dimension_part(W, ctx, threshold)
              for W in accumulate(closures, ideal_intersect))
-    chain, _ = _stabilize(parts, ctx, DEFAULT_INTERSECT_N, 2,
-                          "closure intersection")
+    chain, _ = _stabilize(parts, partial(local_equal, ctx=ctx),
+                          DEFAULT_INTERSECT_N, 2, "closure intersection")
     return chain[-1], len(chain)
 
 
@@ -157,18 +158,22 @@ def filtration_levels(ctx):
     """The levels D_0 subset ... subset D_t = R of the dimension filtration
     and their module dimensions, strictly increasing, ending with R and d.
     D_i, the largest submodule of dimension <= i, is hull(J, i + 1) / J;
-    zero and locally repeated levels are dropped.  No sop is involved."""
-    chain, dims = [], []
-    for j in range(1, ctx.dim + 1):
-        K = hull(ctx.defining, j)
-        dm = submodule_dim(K, ctx)
-        if dm < 0 or chain and local_equal(chain[-1], K, ctx):
-            continue
-        chain.append(K)
-        dims.append(dm)
-    chain.append(ctx.adjoin(Ideal(ctx.vars, [ctx.one()])))  # R itself
-    dims.append(ctx.dim)
-    return chain, dims
+    zero and locally repeated levels are dropped.  No sop is involved, so
+    the levels are computed once per ring and kept on its context."""
+    if ctx._filtration is None:
+        chain, dims = [], []
+        for j in range(1, ctx.dim + 1):
+            K = hull(ctx.defining, j)
+            dm = submodule_dim(K, ctx)
+            if dm < 0 or chain and local_equal(chain[-1], K, ctx):
+                continue
+            chain.append(K)
+            dims.append(dm)
+        chain.append(ctx.adjoin(Ideal(ctx.vars, [ctx.one()])))  # R itself
+        dims.append(ctx.dim)
+        ctx._filtration = chain, dims
+    chain, dims = ctx._filtration
+    return list(chain), list(dims)
 
 
 def dimension_filtration(ctx, sop, seed=0):
@@ -270,7 +275,7 @@ def ij_functions(seq, n_max=4, K=8):
         powered = seq.powers(n)
         ln = local_length(powered.ideal(), ctx)
         scaled = n ** d * e
-        lclo = local_length(limit_closure(powered).closure, ctx)
+        lclo = closure_colength(powered)
         rows.append((n, ln, scaled, lclo, ln - scaled, scaled - lclo))
     return IJTable(rows, e, d)
 

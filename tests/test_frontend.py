@@ -349,9 +349,27 @@ def test_cli_negative_timeout_exit_two():
 
 
 def test_cli_timeout_exit_three():
-    # ij(C, S, 6) takes well over the 1 s limit (about 17 s on a 2-vCPU VM)
+    # gb(C, I) with I = ((x+y+u)^4, u^4, v^4) takes well over the 1 s limit
+    # (17.6 s on a 2-vCPU Xeon VM): Buchberger's coefficients swell on it
     text = ("ring C = QQ[x, y, u, v] / (x*y - u*x^2 - v*y^2);"
-            " seq S = [x + y, u, v]; show ij(C, S, 6);")
+            " ideal I = ((x + y + u)^4, u^4, v^4); show gb(C, I);")
     proc = run_cli(["-", "--timeout-secs", "1"], stdin_text=text)
     assert proc.returncode == 3
     assert "timeout" in proc.stderr
+
+
+def test_cli_failing_show_keeps_the_results_before_it():
+    # show 2 of 3 raises (S is not a sop of the 3-dimensional ring): show 1
+    # is printed, show 3 is never run, and the error goes to stderr
+    text = ("ring P = QQ[x, y, z] / (0); seq S = [x, y];\n"
+            "show dim(P);\nshow mult(P, S);\nshow dim(P);")
+    for args in ([], ["--json"]):
+        proc = run_cli(["-", *args], stdin_text=text)
+        assert proc.returncode == 1
+        assert proc.stderr == ("error: line 3: mult: sequence is not a "
+                               "system of parameters\n")
+        lines = proc.stdout.splitlines()
+        if args:
+            assert [json.loads(line)["value"] for line in lines] == [3]
+        else:
+            assert lines == ["# dim (line 2)", "3"]

@@ -2,20 +2,33 @@
 mixed closures, monomial property."""
 
 import random
+from functools import partial
+from itertools import count
 
 import pytest
 
-from limclose import idealops
+from limclose import idealops, limitclosure, structure
 from limclose.polycore import Polynomial
 from limclose.idealops import Ideal, ideal_sum, ideals_equal, ideal_colon
 from limclose.localring import (
     LocalRingContext, SequenceInR, local_equal, local_contains, local_member,
-    local_length,
+    local_length, is_sop, NotMPrimary, NotStabilized,
 )
 from limclose.limitclosure import (
     colon_step, colon_by_product, limit_closure, limit_closure_mixed,
-    MixedClosureSpec, monomial_property,
+    MixedClosureSpec, monomial_property, closure_colength, _colength,
+    _stabilize,
 )
+
+
+@pytest.fixture(scope="module")
+def two_planes():
+    """Q[a,b,c,d]/((a,b) cap (c,d)): two planes meeting at the origin,
+    with the sop (a + c, b + d)."""
+    V = tuple("abcd")
+    a, b, c, d = (Polynomial.variable(n, V) for n in V)
+    ctx = LocalRingContext(V, Ideal(V, [a * c, a * d, b * c, b * d]))
+    return ctx, SequenceInR([a + c, b + d], ctx)
 
 
 def test_colon_by_product_matches_expanded_colon(plane):
@@ -112,12 +125,96 @@ def test_chain_is_monotone_on_every_fixture(plane, space, split_ring,
 
 
 def test_closure_contains_the_ideal_and_reports_chain(split_ring):
+    # an m-primary chain is reported by its colengths, and the closure is
+    # the chain term at the stabilization index
     res = limit_closure(split_ring.sop)
     ctx = split_ring.ctx
+    idx = res.stabilization_index
     assert local_contains(ctx.adjoin(split_ring.sop.ideal()), res.closure, ctx)
-    assert res.stabilization_index >= 1
-    assert local_equal(res.closure, res.chain[res.stabilization_index - 1], ctx)
+    assert idx >= 1
+    assert ideals_equal(res.closure, colon_step(split_ring.sop, idx))
+    assert local_length(res.closure, ctx) == res.chain[idx - 1]
     assert res.is_proper
+
+
+def test_colength_is_the_length_of_the_colon_term(
+        plane, split_ring, three_level_ring, catalan_ring, two_planes):
+    seqs = [plane.sop, split_ring.sop, split_ring.sop.powers(2),
+            three_level_ring.sop, catalan_ring.sop, two_planes[1]]
+    for seq in seqs:
+        for n in (1, 2, 3):
+            assert local_length(colon_step(seq, n), seq.ctx) \
+                == _colength(seq, n), (seq.entries, seq.exponent, n)
+
+
+def _colon_term_window(seq, window):
+    """Reference: the window over the colon terms themselves, compared by
+    local equality, as every chain was stopped before colengths."""
+    return _stabilize((colon_step(seq, n) for n in count(1)),
+                      partial(local_equal, ctx=seq.ctx), 12, window,
+                      "colon chain")
+
+
+def test_colength_window_agrees_with_the_colon_term_window(
+        plane, split_ring, three_level_ring, catalan_ring, two_planes):
+    # random linear sops and their squares; the quadric's squares and its
+    # window 3 are left out, as they take 10 s and more on the colon terms
+    rng = random.Random(14)
+    cases = []
+    for ctx, quadric in ((plane.ctx, False), (split_ring.ctx, False),
+                         (three_level_ring.ctx, False), (two_planes[0], False),
+                         (catalan_ring.ctx, True)):
+        gens = [Polynomial.variable(n, ctx.vars) for n in ctx.vars]
+        found = 0
+        while found < 2:
+            seq = SequenceInR([sum((rng.randint(-2, 2) * g for g in gens),
+                                   ctx.zero_poly()) for _ in range(ctx.dim)],
+                              ctx)
+            if any(e.is_zero() for e in seq.entries) or not is_sop(seq):
+                continue
+            found += 1
+            cases += [(seq, 2)] if quadric else [
+                (s, w) for s in (seq, seq.powers(2)) for w in (2, 3)]
+    indices = set()
+    for seq, window in cases:
+        chain, idx = _colon_term_window(seq, window)
+        res = limit_closure(seq, window=window)
+        assert res.stabilization_index == idx, (seq.entries, window)
+        assert ideals_equal(res.closure, chain[idx - 1])
+        assert len(res.chain) == len(chain)
+        indices.add(idx)
+    assert indices == {1, 2}   # both early and late stabilization occur
+
+
+def test_an_m_primary_closure_builds_one_colon_term(monkeypatch, split_ring,
+                                                    catalan_ring):
+    calls = []
+    real = limitclosure.colon_step
+    monkeypatch.setattr(limitclosure, "colon_step",
+                        lambda seq, n: calls.append(n) or real(seq, n))
+    for seq in (split_ring.sop, split_ring.sop.powers(2)):
+        calls.clear()
+        res = limit_closure(seq, window=3)
+        assert calls == [res.stabilization_index]
+    calls.clear()
+    assert monomial_property(split_ring.sop)
+    structure.ij_functions(split_ring.sop, n_max=2)
+    assert calls == []
+    # (y, u, v) is not m-primary on the quadric: the colon terms are windowed
+    res = limit_closure(catalan_ring.extras["yuv"])
+    assert calls == [1, 2] and res.chain[0].gens
+
+
+def test_a_capped_chain_carries_its_colengths(split_ring):
+    # this square's chain has colengths 5, 4, 4, ...
+    x, y, z = (split_ring.extras[k] for k in "xyz")
+    seq = SequenceInR([-x - 2 * y, x - y + z], split_ring.ctx).powers(2)
+    with pytest.raises(NotStabilized) as exc:
+        limit_closure(seq, n_max=2)
+    assert exc.value.partial_chain == [5, 4]
+    assert limit_closure(seq, n_max=3).chain == [5, 4, 4]
+    res = limit_closure(seq, window=3)
+    assert (res.chain, res.stabilization_index) == ([5, 4, 4, 4], 2)
 
 
 @pytest.mark.parametrize("window", [-1, 0, 1])
@@ -236,6 +333,16 @@ def test_non_sop_sequence_closure_picks_up_the_extra_class(catalan_ring):
     assert local_member(x, res.closure, ctx)
     assert not local_member(x, ctx.adjoin(catalan_ring.extras["yuv"].ideal()),
                             ctx)
+
+
+def test_closure_colength_reads_the_closure_length(split_ring, catalan_ring):
+    ctx = split_ring.ctx
+    for n in (1, 2):
+        seq = split_ring.sop.powers(n)
+        assert closure_colength(seq) \
+            == local_length(limit_closure(seq).closure, ctx)
+    with pytest.raises(NotMPrimary):
+        closure_colength(catalan_ring.extras["yuv"])
 
 
 def test_closure_lengths_on_quadric(catalan_ring):

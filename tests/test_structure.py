@@ -174,6 +174,24 @@ def test_filtration_does_not_depend_on_the_sop(split_ring, three_level_ring):
             assert local_equal(D, K, ctx), (ctx.defining, j)
 
 
+def test_filtration_levels_are_computed_once_per_ring(monkeypatch,
+                                                     split_ring):
+    # a fresh context of the split ring: its hulls are taken on the first
+    # call only, and later calls (goodsop after dimfilt) read them back
+    ctx = LocalRingContext(split_ring.ctx.vars, split_ring.ctx.defining)
+    hulls = []
+    real = structure.hull
+    monkeypatch.setattr(structure, "hull",
+                        lambda J, k: hulls.append(k) or real(J, k))
+    first = structure.filtration_levels(ctx)
+    assert hulls == [1, 2]
+    filt = dimension_filtration(ctx, split_ring.extras["good_sop"])
+    assert structure.filtration_levels(ctx) == first
+    assert hulls == [1, 2]
+    assert filt.dims == first[1] == [1, 2]
+    assert local_equal(filt.chain[0], split_ring.extras["U"], ctx)
+
+
 def test_filtration_of_domain_is_trivial(plane):
     filt = dimension_filtration(plane.ctx, plane.sop)
     assert filt.dims == [2]
