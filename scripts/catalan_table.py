@@ -15,8 +15,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from limclose.polycore import Polynomial, catalan_truncated_generating_poly
 from limclose.idealops import Ideal
-from limclose.localring import LocalRingContext, local_equal
-from limclose.limitclosure import colon_by_product
+from limclose.localring import LocalRingContext, SequenceInR, local_equal
+from limclose.limitclosure import colon_step
 
 
 def main(n_max=5):
@@ -24,15 +24,14 @@ def main(n_max=5):
     x, y, u, v = (Polynomial.variable(n, V) for n in V)
     f = x * y - u * x ** 2 - v * y ** 2
     ctx = LocalRingContext(V, Ideal(V, [f]))
+    seq = SequenceInR([y, u, v], ctx)
     print(f"ring: Q[x,y,u,v]/({f}), colon rows n = 1..{n_max}")
     mismatches = 0
     for n in range(1, n_max + 1):
         t0 = time.monotonic()
         a_n = x if n == 1 else \
             x - y * v * catalan_truncated_generating_poly("u", "v", n - 2, V)
-        powered = ctx.adjoin(Ideal(V, [y ** (2 * n), u ** (2 * n),
-                                       v ** (2 * n)]))
-        colon = colon_by_product(powered, [y] * n + [u] * n + [v] * n)
+        colon = colon_step(seq.powers(n), n)
         expected = ctx.adjoin(Ideal(V, [y ** n, u ** n, v ** n, a_n]))
         ok = local_equal(colon, expected, ctx)
         mismatches += not ok

@@ -23,20 +23,19 @@ from .polycore import (
 )
 from .idealops import (
     Ideal, ideal_intersect, ideal_colon_ideal, ideal_saturate, eliminate,
-    contract, colon_by_product, RingMapPresentation,
+    contract, RingMapPresentation,
 )
 from .localring import (
     LocalRingContext, SequenceInR, local_length, local_dim,
     local_equal, is_sop,
 )
 from .limitclosure import (
-    colon_step, limit_closure, limit_closure_mixed, MixedClosureSpec,
-    monomial_property, DEFAULT_N_MAX,
+    colon_step, limit_closure, limit_closure_mixed, monomial_property,
+    DEFAULT_N_MAX,
 )
 from .structure import (
-    unmixed_component, dimension_filtration, filtration_levels,
-    DimensionFiltration,
-    is_good_sop, ij_functions, topology_scan, multiplicity,
+    unmixed_component, dimension_filtration, is_good_sop, ij_functions,
+    topology_scan, multiplicity,
 )
 from .detmaps import express_in_terms, detmap_injective
 
@@ -533,8 +532,9 @@ def _limclose(config, ctx, s, n=None):
 
 
 def _limclose_mixed(config, ctx, head, npow, tail, mpow):
-    spec = MixedClosureSpec(head, npow, tail, mpow)
-    return _ideal_result(limit_closure_mixed(spec, n_max=config.n_max))
+    res = limit_closure_mixed(head, npow, tail, mpow, n_max=config.n_max,
+                              window=config.stab_window)
+    return _ideal_result(res.closure)
 
 
 def _monomial_check(config, ctx, s):
@@ -559,9 +559,7 @@ def _dimfilt(config, ctx, s):
 
 
 def _goodsop(config, ctx, s):
-    filt = DimensionFiltration(*filtration_levels(ctx), s, False)
-    return CommandResult(kind="verdict",
-                         verdict=is_sop(s) and is_good_sop(s, filt))
+    return CommandResult(kind="verdict", verdict=is_sop(s) and is_good_sop(s))
 
 
 def _ij(config, ctx, s, n_max=4):
@@ -612,8 +610,7 @@ def _catalan_demo(config, n_max=4):
     rows = []
     ok_all = True
     for n in range(1, n_max + 1):
-        powered = ctx.adjoin(Ideal(V, [y ** (2 * n), u ** (2 * n), v ** (2 * n)]))
-        colon = colon_by_product(powered, [y ** n, u ** n, v ** n])
+        colon = colon_step(seq.powers(n), n)
         a_n = x - y * v * catalan_truncated_generating_poly("u", "v", n - 1, V)
         expected = ctx.adjoin(Ideal(V, [y ** n, u ** n, v ** n, a_n]))
         match = local_equal(colon, expected, ctx)
@@ -782,7 +779,7 @@ def main(argv=None):
     ap.add_argument("--n-max", type=int, default=DEFAULT_N_MAX)
     ap.add_argument("--stab-window", type=int, default=2,
                     help="chain-stabilization window of limclose; applies "
-                         "to limclose only")
+                         "to limclose and limclose-mixed only")
     ap.add_argument("--json", action="store_true")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--timeout-secs", type=int, default=None,

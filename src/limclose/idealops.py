@@ -299,7 +299,8 @@ def _elimination_order(vars, drop_names):
 
 def eliminate(I, drop_names):
     """Generators of I cap K[remaining vars], via a block elimination order."""
-    drop_names = [n for n in drop_names]
+    # a repeated name would give the block order a wrong permutation
+    drop_names = list(dict.fromkeys(drop_names))
     for n in drop_names:
         if n not in I.vars:
             raise VariableMismatch(f"unknown variable {n!r}")

@@ -3,13 +3,17 @@ and the monomial-property test.
 
 The closure of x_1, ..., x_r is the increasing union over n of
 (x_1^{n+1}, ..., x_r^{n+1}) : (x_1 ... x_r)^n, taken in the local ring.
+`colon_step` is the one formula for a chain term: a mixed closure
+(head^[n], tail^[m])^lim is the closure of head^[n] in R/(tail^[m]) and
+runs through `limit_closure` like any other.
+
 Stabilization is detected by a window of consecutive equal chain terms
 (`_stabilize`, which also stops the closure intersections of `structure`);
 Noetherianity guarantees termination but gives no bound, so the window is a
 heuristic and callers cross-check stable values independently.
 
 Only the comparison inside the window is exact.  When the sequence is
-m-primary, the window runs over the colengths len R/chain[n] (`_colength`),
+m-primary (for a mixed closure: head and tail together), the window runs over the colengths len R/chain[n] (`_colength`),
 which two local standard bases give without a colon; the chain increases,
 so two terms are locally equal exactly when their colengths are, and the
 one term returned is then built by `colon_step`.  Where the colengths are
@@ -25,7 +29,7 @@ from operator import eq, mul
 
 from .idealops import Ideal, colon_by_product
 from .localring import (
-    SequenceInR, local_equal, local_length, is_local_unit_ideal, is_sop,
+    LocalRingContext, SequenceInR, local_equal, local_length, is_sop,
     NotStabilized, NotMPrimary,
 )
 
@@ -39,24 +43,6 @@ class LimitClosureResult:
     stabilization_index: int  # first n with chain[n] == chain[n+1] == ...
     chain: list               # chain[k] stands for the colon at step k+1: its
                               # colength, or the ideal where that is infinite
-    is_proper: bool           # closure != R locally
-
-
-@dataclass
-class MixedClosureSpec:
-    head: SequenceInR
-    head_power: int
-    tail: SequenceInR
-    tail_power: int
-
-    def __post_init__(self):
-        if len(self.head) < 1:
-            raise ValueError("head must be non-empty")
-        if self.head_power < 1 or self.tail_power < 1:
-            raise ValueError("powers must be >= 1")
-        if self.tail.entries and self.tail.ctx is not self.head.ctx:
-            if self.tail.ctx.vars != self.head.ctx.vars:
-                raise ValueError("head and tail live in different rings")
 
 
 def _powered(seq, n):
@@ -146,14 +132,7 @@ def limit_closure(seq, n_max=DEFAULT_N_MAX, window=2):
         closure = chain[stable_at - 1]
     else:
         closure = colon_step(seq, stable_at)
-    # the closure contains J, which has no unit at the origin, so it is
-    # locally the unit ideal iff one of its generators is a unit there
-    return LimitClosureResult(
-        closure=closure,
-        stabilization_index=stable_at,
-        chain=chain,
-        is_proper=not is_local_unit_ideal(closure, seq.ctx),
-    )
+    return LimitClosureResult(closure, stable_at, chain)
 
 
 def closure_colength(seq, n_max=DEFAULT_N_MAX):
@@ -163,25 +142,22 @@ def closure_colength(seq, n_max=DEFAULT_N_MAX):
     return chain[stable_at - 1]
 
 
-def mixed_colon_step(spec, k):
-    """One term of the mixed union:
-    ((head^[n(k+1)], tail^[m]) + J) : (head product)^{nk}."""
-    ctx = spec.head.ctx
-    n, m = spec.head_power, spec.tail_power
-    gens = [e ** (n * (k + 1)) for e in spec.head.entries]
-    gens += [e ** m for e in spec.tail.entries]
-    powered = ctx.adjoin(Ideal(ctx.vars, gens))
-    if any(e.is_zero() for e in spec.head.entries):
-        return Ideal(ctx.vars, [ctx.one()])
-    return colon_by_product(powered, [e ** (n * k) for e in spec.head.entries])
-
-
-def limit_closure_mixed(spec, n_max=DEFAULT_N_MAX):
-    """Stabilized union over k of the mixed colon chain."""
-    chain, _ = _stabilize((mixed_colon_step(spec, k) for k in count(1)),
-                          partial(local_equal, ctx=spec.head.ctx), n_max, 2,
-                          "mixed colon chain")
-    return chain[-1]
+def limit_closure_mixed(head, head_power, tail, tail_power,
+                        n_max=DEFAULT_N_MAX, window=2):
+    """(head^[n], tail^[m])^lim: the closure of head^[n] in R/(tail^[m]).
+    Modulo tail^[m] the mixed chain is the colon chain of head^[n], so
+    `limit_closure` runs over the quotient ring; its closure is an ambient
+    ideal containing J + (tail^[m])."""
+    if len(head) < 1:
+        raise ValueError("head must be non-empty")
+    if head_power < 1 or tail_power < 1:
+        raise ValueError("powers must be >= 1")
+    ctx = head.ctx
+    # tail entries have no constant term, so neither has the new relation
+    quot = LocalRingContext(ctx.vars, ctx.adjoin(
+        Ideal(ctx.vars, [e ** tail_power for e in tail.entries])))
+    return limit_closure(
+        SequenceInR(head.entries, quot).powers(head_power), n_max, window)
 
 
 def monomial_property(seq, n_max=DEFAULT_N_MAX):

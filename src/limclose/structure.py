@@ -15,7 +15,7 @@ paper's route, and the hull is its test oracle.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, count, permutations, product
 
@@ -83,7 +83,6 @@ class CyclicCoverReport:
     length_mod_closure: int
     length_mod_ideal: int
     closure_excess: int    # length of closure / (ideal)
-    warnings: list = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -141,12 +140,12 @@ def submodule_dim(D, ctx):
     return local_dim(ann, ctx)
 
 
-def is_good_sop(sop, filtration):
+def is_good_sop(sop):
     """Goodness: D_i meets (x_{d_i+1}, ..., x_d) in zero, for every proper
-    level of the filtration."""
+    level of the dimension filtration of the sop's ring."""
     ctx = sop.ctx
-    d = ctx.dim
-    for D, dim_i in zip(filtration.chain[:-1], filtration.dims[:-1]):
+    chain, dims = filtration_levels(ctx)
+    for D, dim_i in zip(chain[:-1], dims[:-1]):
         tail = Ideal(ctx.vars, list(sop.entries[dim_i:]))
         inter = ideal_intersect(D, ctx.adjoin(tail))
         if not local_contains(inter, ctx.zero_ideal(), ctx):
@@ -195,11 +194,10 @@ def dimension_filtration(ctx, sop, seed=0):
             break
         if attempt > 0 and not is_sop(current):
             continue
-        last = DimensionFiltration(chain, dims, current, False)
-        if is_good_sop(current, last):
-            last.goodness_verified = True
-            return last
-    return last
+        last = current
+        if is_good_sop(current):
+            return DimensionFiltration(chain, dims, current, True)
+    return DimensionFiltration(chain, dims, last, False)
 
 
 def _sop_candidates(sop, rng):

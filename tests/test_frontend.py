@@ -328,6 +328,16 @@ def test_cli_stab_window_below_two_exit_one(window):
     assert "index out of range" not in proc.stderr
 
 
+def test_cli_stab_window_applies_to_limclose_mixed():
+    # two chain terms cannot fill a window of three
+    text = ("ring P = QQ[x, y] / (0); seq S = [x]; seq T = [y]; "
+            "show limclose-mixed(P, S, 1, T, 1);")
+    proc = run_cli(["-", "--stab-window", "3", "--n-max", "2"],
+                   stdin_text=text)
+    assert proc.returncode == 1
+    assert "did not stabilize within n_max=2" in proc.stderr
+
+
 @pytest.mark.parametrize("show,value", [
     ("topo(P, S, -1, 2)", -1), ("catalan-demo(-2)", -2), ("ij(P, S, 0)", 0),
     ("topo(P, S, 2, 0)", 0)])

@@ -319,6 +319,11 @@ def test_elimination_oracle_set():
     assert not got2.reduced_gens()
 
 
+def test_elimination_with_a_repeated_name_drops_it_once():
+    I = Ideal(VARS, [X - Y ** 2, Z - Y ** 3])
+    assert ideals_equal(eliminate(I, ["y", "y"]), eliminate(I, ["y"]))
+
+
 def test_elimination_members_stay_members():
     rng = random.Random(31)
     for _ in range(8):

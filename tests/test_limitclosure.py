@@ -12,12 +12,11 @@ from limclose.polycore import Polynomial
 from limclose.idealops import Ideal, ideal_sum, ideals_equal, ideal_colon
 from limclose.localring import (
     LocalRingContext, SequenceInR, local_equal, local_contains, local_member,
-    local_length, is_sop, NotMPrimary, NotStabilized,
+    local_length, is_local_unit_ideal, is_sop, NotMPrimary, NotStabilized,
 )
 from limclose.limitclosure import (
     colon_step, colon_by_product, limit_closure, limit_closure_mixed,
-    MixedClosureSpec, monomial_property, closure_colength, _colength,
-    _stabilize,
+    monomial_property, closure_colength, _colength, _stabilize,
 )
 
 
@@ -134,7 +133,7 @@ def test_closure_contains_the_ideal_and_reports_chain(split_ring):
     assert idx >= 1
     assert ideals_equal(res.closure, colon_step(split_ring.sop, idx))
     assert local_length(res.closure, ctx) == res.chain[idx - 1]
-    assert res.is_proper
+    assert not is_local_unit_ideal(res.closure, ctx)
 
 
 def test_colength_is_the_length_of_the_colon_term(
@@ -283,32 +282,77 @@ def test_quotient_formula(split_ring):
 def test_mixed_closure_degenerate_tail_is_plain_closure(split_ring):
     ctx = split_ring.ctx
     empty = SequenceInR([], ctx)
-    spec = MixedClosureSpec(head=split_ring.sop, head_power=2,
-                            tail=empty, tail_power=1)
-    got = limit_closure_mixed(spec)
-    want = limit_closure(split_ring.sop.powers(2)).closure
-    assert local_equal(got, want, ctx)
+    got = limit_closure_mixed(split_ring.sop, 2, empty, 1)
+    want = limit_closure(split_ring.sop.powers(2))
+    assert local_equal(got.closure, want.closure, ctx)
+    assert got.stabilization_index == want.stabilization_index
 
 
 def test_mixed_closure_on_regular_ring_is_the_mixed_ideal(space):
     ctx = space.ctx
     x, y, z = (space.extras[k] for k in "xyz")
-    spec = MixedClosureSpec(head=SequenceInR([x, y], ctx), head_power=2,
-                            tail=SequenceInR([z], ctx), tail_power=3)
-    got = limit_closure_mixed(spec)
+    got = limit_closure_mixed(SequenceInR([x, y], ctx), 2,
+                              SequenceInR([z], ctx), 3)
     want = Ideal(ctx.vars, [x ** 2, y ** 2, z ** 3])
-    assert local_equal(got, want, ctx)
+    assert local_equal(got.closure, want, ctx)
 
 
-def test_mixed_spec_validation(space):
+def test_mixed_closure_validation(space, plane):
     ctx = space.ctx
     x, z = space.extras["x"], space.extras["z"]
-    with pytest.raises(ValueError):
-        MixedClosureSpec(head=SequenceInR([], ctx), head_power=1,
-                         tail=SequenceInR([z], ctx), tail_power=1)
-    with pytest.raises(ValueError):
-        MixedClosureSpec(head=SequenceInR([x], ctx), head_power=0,
-                         tail=SequenceInR([z], ctx), tail_power=1)
+    head, tail = SequenceInR([x], ctx), SequenceInR([z], ctx)
+    with pytest.raises(ValueError, match="head must be non-empty"):
+        limit_closure_mixed(SequenceInR([], ctx), 1, tail, 1)
+    for powers in ((0, 1), (1, 0)):
+        with pytest.raises(ValueError, match="powers must be >= 1"):
+            limit_closure_mixed(head, powers[0], tail, powers[1])
+    with pytest.raises(ValueError):   # a tail over other variables
+        limit_closure_mixed(head, 1, plane.sop, 1)
+
+
+def _mixed_chain_reference(head, n, tail, m):
+    """The mixed chain as its own formula: the union over k of
+    ((head^[n(k+1)], tail^[m]) + J) : (head product)^{nk}, windowed over its
+    colon terms; returns the last term of the window."""
+    ctx = head.ctx
+
+    def term(k):
+        gens = [e ** (n * (k + 1)) for e in head.entries]
+        gens += [e ** m for e in tail.entries]
+        return colon_by_product(ctx.adjoin(Ideal(ctx.vars, gens)),
+                                [e ** (n * k) for e in head.entries])
+
+    chain, _ = _stabilize((term(k) for k in count(1)),
+                          partial(local_equal, ctx=ctx), 12, 2, "mixed chain")
+    return chain[-1]
+
+
+def test_mixed_closure_matches_the_mixed_chain_formula(
+        split_ring, three_level_ring, two_planes, catalan_ring):
+    # the closure of head^[n] over R/(tail^[m]) against the mixed chain
+    # built upstairs: both m-primary splits and splits that are not, and a
+    # ring with a component away from the origin
+    x, y, z = (split_ring.extras[k] for k in "xyz")
+    tx, ty, tz = (three_level_ring.extras[k] for k in "xyz")
+    pctx, (ac, bd) = two_planes[0], two_planes[1].entries
+    qx, qy, u, v = (catalan_ring.extras[k] for k in "xyuv")
+    away = LocalRingContext(x.vars, Ideal(x.vars, [x * (y - 1), x * z]))
+    splits = [
+        (split_ring.ctx, [y], [x + z]), (split_ring.ctx, [x + z], [y]),
+        (three_level_ring.ctx, [tz + tx], [ty]), (pctx, [ac], [bd]),
+        (catalan_ring.ctx, [qx + qy], [u, v]),    # m-primary
+        (catalan_ring.ctx, [qy], [u, v]),         # not m-primary
+        (away, [y], [z]),
+    ]
+    for ctx, head, tail in splits:
+        head, tail = SequenceInR(head, ctx), SequenceInR(tail, ctx)
+        for n in (1, 2):
+            for m in (1, 2):
+                got = limit_closure_mixed(head, n, tail, m).closure
+                want = _mixed_chain_reference(head, n, tail, m)
+                case = (head.entries, n, tail.entries, m)
+                assert local_equal(got, want, ctx), case
+                assert got.reduced_gens() == want.reduced_gens(), case
 
 
 def test_colon_step_with_zero_entry_is_unit(split_ring):

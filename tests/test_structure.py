@@ -113,8 +113,8 @@ def test_filtration_split_ring(split_ring):
     assert filt.dims == [1, 2]
     assert local_equal(filt.chain[0], split_ring.extras["U"], ctx)
     assert filt.goodness_verified
-    # the returned sop is good for the chain it came with
-    assert is_good_sop(filt.sop, filt)
+    # the returned sop is good for the ring's filtration
+    assert is_good_sop(filt.sop)
 
 
 def test_filtration_reorders_an_ungood_sop(split_ring):
@@ -129,9 +129,7 @@ def test_goodness_is_order_sensitive(split_ring):
     ctx = split_ring.ctx
     filt = dimension_filtration(ctx, split_ring.sop)
     bad = SequenceInR(list(reversed(filt.sop.entries)), ctx)
-    from limclose.structure import DimensionFiltration
-    refit = DimensionFiltration(filt.chain, filt.dims, bad, False)
-    assert not is_good_sop(bad, refit)
+    assert not is_good_sop(bad)
 
 
 def test_filtration_three_levels(three_level_ring):
@@ -160,7 +158,7 @@ def test_filtration_does_not_depend_on_the_sop(split_ring, three_level_ring):
         chains = [dimension_filtration(ctx, s) for s in (given, good,
                                                          perturbed)]
         first = chains[0]
-        assert is_good_sop(good, first)
+        assert is_good_sop(good)
         for filt in chains[1:]:
             assert filt.dims == first.dims
             assert all(local_equal(D, E, ctx)
