@@ -10,10 +10,11 @@ from dataclasses import dataclass
 
 from .polycore import Polynomial, GREVLEX
 from .groebner import buchberger, exact_quotients, ideal_member
+from .idealops import ideal_colon
 from .localring import (
     SequenceInR, local_member, local_contains, is_local_unit_ideal,
 )
-from .limitclosure import limit_closure, DEFAULT_N_MAX
+from .limitclosure import limit_closure, closure_target, DEFAULT_N_MAX
 
 
 @dataclass
@@ -106,13 +107,14 @@ def detmap_injective(problem, n_max=DEFAULT_N_MAX):
 
     The kernel is ((y)^lim : det)/(x)^lim, so the map is injective iff the
     colon is locally inside (x)^lim.  A determinant that vanishes in R gives
-    the zero map, injective only from the zero module.
+    the zero map, injective only from the zero module.  Each closure is its
+    exact target where there is one (`closure_target`), else the stabilized
+    chain's term.
     """
     ctx = problem.x.ctx
-    clo_x = limit_closure(problem.x, n_max=n_max).closure
-    clo_y = limit_closure(problem.y, n_max=n_max).closure
+    clo_x, clo_y = (closure_target(s) or limit_closure(s, n_max=n_max).closure
+                    for s in (problem.x, problem.y))
     if local_member(problem.det, ctx.zero_ideal(), ctx):
         return is_local_unit_ideal(clo_x, ctx)
-    from .idealops import ideal_colon
     kernel = ideal_colon(ctx.adjoin(clo_y), problem.det)
     return local_contains(kernel, clo_x, ctx)

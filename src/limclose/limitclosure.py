@@ -1,5 +1,5 @@
-"""Limit closures: stabilization of the colon chain, mixed-power closures,
-and the monomial-property test.
+"""Limit closures: stabilization of the colon chain, exact closure targets,
+mixed-power closures, and the monomial-property test.
 
 The closure of x_1, ..., x_r is the increasing union over n of
 (x_1^{n+1}, ..., x_r^{n+1}) : (x_1 ... x_r)^n, taken in the local ring.
@@ -18,6 +18,25 @@ which two local standard bases give without a colon; the chain increases,
 so two terms are locally equal exactly when their colengths are, and the
 one term returned is then built by `colon_step`.  Where the colengths are
 infinite the window compares the colon terms themselves.
+
+Readers that need the closure only locally (`structure.topology_scan`,
+`detmaps.detmap_injective`) can skip the chain on many rings:
+
+Theorem.  Let x be a sop of R, d = dim R >= 1, and U the largest
+submodule of R of dimension < d.  If R/U is Cohen-Macaulay, then
+(x)^lim = (x) + U.
+
+Proof.  (x)^lim is the kernel of R -> H^d_m(R), r |-> [r/(x_1...x_d)].
+Grothendieck vanishing gives H^d_m(U) = 0, so the local cohomology sequence
+of 0 -> U -> R -> R/U -> 0 makes H^d_m(R) -> H^d_m(R/U) injective, and
+(x)^lim is the preimage of (x R/U)^lim.  x is a sop of R/U, which has
+dimension d; on a Cohen-Macaulay R/U it is a regular sequence, so every
+chain term ((x^[n+1]) : (x_1...x_d)^n) R/U is (x) R/U, and so is the
+closure.  Its preimage is (x) + U.
+
+U is hull(J, d)/J (`LocalRingContext.hull`), and R/U is Cohen-Macaulay
+iff one sop of R is R/U-regular; the answer does not depend on the sop,
+so `closure_target` tests it once per ring.
 """
 
 from __future__ import annotations
@@ -27,10 +46,10 @@ from functools import partial, reduce
 from itertools import count
 from operator import eq, mul
 
-from .idealops import Ideal, colon_by_product
+from .idealops import Ideal, colon_by_product, ideal_colon, ideal_sum
 from .localring import (
-    LocalRingContext, SequenceInR, local_equal, local_length, is_sop,
-    NotStabilized, NotMPrimary,
+    LocalRingContext, SequenceInR, local_equal, local_contains,
+    local_length, is_sop, NotStabilized, NotMPrimary,
 )
 
 
@@ -140,6 +159,34 @@ def closure_colength(seq, n_max=DEFAULT_N_MAX):
     without building the closure; raises NotMPrimary otherwise."""
     chain, stable_at = _colength_window(seq, n_max, 2)
     return chain[stable_at - 1]
+
+
+def _regular_modulo(entries, U, ctx):
+    """True iff the entries form a regular sequence on R/U locally: for
+    each i, (U + (x_<i)) : x_i lies in U + (x_<i).  Colons commute with
+    localization, so one ambient colon and one local containment each."""
+    for i, e in enumerate(entries):
+        head = ideal_sum(U, Ideal(ctx.vars, entries[:i]))
+        if not local_contains(ideal_colon(head, e), head, ctx):
+            return False
+    return True
+
+
+def closure_target(seq):
+    """(x) + U, an ambient ideal locally equal to (x)^lim, when d >= 1, seq
+    is a sop and R/U is Cohen-Macaulay (the theorem above); None otherwise.
+    The sop and Cohen-Macaulay tests run on the base of the sequence's
+    power record, and the latter once per ring."""
+    ctx = seq.ctx
+    base = seq.base if seq.base is not None else seq
+    if ctx.dim < 1 or not is_sop(base):
+        return None
+    U = ctx.hull(ctx.dim)
+    if ctx._cm_after_u is None:
+        ctx._cm_after_u = _regular_modulo(base.entries, U, ctx)
+    if not ctx._cm_after_u:
+        return None
+    return ideal_sum(seq.ideal(), U)
 
 
 def limit_closure_mixed(head, head_power, tail, tail_power,

@@ -20,7 +20,7 @@ from itertools import combinations_with_replacement
 from .polycore import Polynomial, MonomialOrder, mono_divides
 from .groebner import buchberger
 from .idealops import (
-    Ideal, ideal_sum, standard_monomials, _fresh_tag_var, _memoized,
+    Ideal, ideal_sum, standard_monomials, hull, _fresh_tag_var, _memoized,
     _lead_dim, NotZeroDimensional, AmbientMismatch,
 )
 
@@ -50,7 +50,9 @@ class LocalRingContext:
                 raise ValueError(
                     "defining ideal has a unit at the origin; localization is zero")
         self._dim = None
+        self._hulls = {}         # k -> hull(J, k), once each
         self._filtration = None  # structure.filtration_levels, once
+        self._cm_after_u = None  # limitclosure.closure_target: R/U is CM
 
     # -- basic ring elements --------------------------------------------------
 
@@ -83,6 +85,13 @@ class LocalRingContext:
         if self._dim is None:
             self._dim = local_dim(self.zero_ideal(), self)
         return self._dim
+
+    def hull(self, k):
+        """hull(J, k): the intersection of the components of J of
+        dimension >= k, computed once per k."""
+        if k not in self._hulls:
+            self._hulls[k] = hull(self.defining, k)
+        return self._hulls[k]
 
 
 @dataclass

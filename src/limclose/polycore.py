@@ -297,11 +297,6 @@ class Polynomial:
     def scale(self, c):
         return self * c
 
-    def term_mul(self, exps, coeff):
-        """Multiply by a single term (fast path used by division)."""
-        return Polynomial(self.vars, {mono_mul(e, exps): c * coeff
-                                      for e, c in self.terms.items()})
-
     def __eq__(self, other):
         if isinstance(other, Rational):
             return self.terms == Polynomial.constant(other, self.vars).terms

@@ -21,14 +21,15 @@ from itertools import accumulate, count, permutations, product
 
 from .polycore import Polynomial
 from .idealops import (
-    Ideal, ideal_power, ideal_intersect, ideal_colon_ideal, hull,
-    contract,
+    Ideal, ideal_power, ideal_intersect, ideal_colon_ideal, contract,
 )
 from .localring import (
     LocalRingContext, SequenceInR, local_equal, local_contains, local_member,
-    local_length, local_dim, is_sop, NotStabilized,
+    local_length, local_dim, is_sop, contained_in_m_power, NotStabilized,
 )
-from .limitclosure import limit_closure, closure_colength, _stabilize
+from .limitclosure import (
+    limit_closure, closure_colength, closure_target, _stabilize,
+)
 
 
 DEFAULT_INTERSECT_N = 8
@@ -162,7 +163,7 @@ def filtration_levels(ctx):
     if ctx._filtration is None:
         chain, dims = [], []
         for j in range(1, ctx.dim + 1):
-            K = hull(ctx.defining, j)
+            K = ctx.hull(j)
             dm = submodule_dim(K, ctx)
             if dm < 0 or chain and local_equal(chain[-1], K, ctx):
                 continue
@@ -287,10 +288,11 @@ def topology_scan(seq, n0=4, v_max=8):
     (x^[v])^lim inside m^k; a k with no such v is a failure witness.
 
     This compares the limit-closure topology with the m-adic one on the
-    affine model (the completed statement is only shadowed here).
+    affine model (the completed statement is only shadowed here).  Each
+    closure is its exact target (x^[v]) + U where there is one
+    (`closure_target`), else the stabilized chain's term.
     """
     ctx = seq.ctx
-    from .localring import contained_in_m_power
     rows = []
     failure_k = None
     witness = None
@@ -298,7 +300,9 @@ def topology_scan(seq, n0=4, v_max=8):
 
     def closure_at(v):
         if v not in closures:
-            closures[v] = limit_closure(seq.powers(v)).closure
+            powered = seq.powers(v)
+            closures[v] = closure_target(powered) \
+                or limit_closure(powered).closure
         return closures[v]
 
     for k in range(1, n0 + 1):

@@ -13,6 +13,12 @@ from math import gcd, lcm
 from limclose.polycore import Polynomial
 
 
+def term_mul(p, exps, coeff):
+    """p times the single term coeff * x^exps."""
+    return Polynomial(p.vars, {tuple(a + b for a, b in zip(e, exps)):
+                               c * coeff for e, c in p.terms.items()})
+
+
 def monomials_up_to(nvars, max_deg):
     """All exponent tuples of total degree <= max_deg, in a fixed order."""
     out = []
@@ -112,7 +118,7 @@ def member_oracle(f, gens, cof_deg):
     columns = []
     for g in gens:
         for s in shifts:
-            columns.append(_poly_vector(g.term_mul(s, 1), monos))
+            columns.append(_poly_vector(term_mul(g, s, 1), monos))
     target = _poly_vector(f, monos)
     return in_span(columns, target)
 
@@ -143,7 +149,7 @@ def local_member_oracle(f, gens, trunc_deg):
         if g.is_zero():
             continue
         for s in shifts:
-            columns.append(truncate_vec(g.term_mul(s, 1)))
+            columns.append(truncate_vec(term_mul(g, s, 1)))
     return in_span(columns, truncate_vec(f))
 
 

@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from limclose import limitclosure
 from limclose.polycore import Polynomial
 from limclose.idealops import Ideal
 from limclose.localring import LocalRingContext, SequenceInR, is_sop
+from limclose.structure import topology_scan
 from limclose.detmaps import (
     DetMapProblem, determinant, express_in_terms, detmap_injective,
 )
@@ -203,3 +205,23 @@ def test_zero_determinant_map(catalan_ring):
     assert prob.det.is_zero() or \
         ctx.defining.contains_poly(prob.det)
     assert not detmap_injective(prob)
+
+
+def test_readers_build_no_chain_where_the_target_is_exact(
+        monkeypatch, split_ring, catalan_ring):
+    # R/U is Cohen-Macaulay on the split ring and the quadric: the topology
+    # scan and the determinantal map read (x) + U and build no colon term;
+    # a y that is no sop still takes the chain
+    calls = []
+    real = limitclosure.colon_step
+    monkeypatch.setattr(limitclosure, "colon_step",
+                        lambda seq, n: calls.append(n) or real(seq, n))
+    rep = topology_scan(split_ring.sop, n0=3, v_max=6)
+    assert rep.failure_k == 2 and str(rep.witness) == "x"
+    assert topology_scan(catalan_ring.sop, n0=2, v_max=4).success
+    cases = _quadric_cases(catalan_ring)
+    X, D1, D3 = cases[0][0], cases[1][1], cases[3][1]
+    assert detmap_injective(express_in_terms(D1, X))
+    assert calls == []
+    assert not detmap_injective(express_in_terms(D3, X))
+    assert calls

@@ -11,7 +11,7 @@ from limclose.groebner import (
     GroebnerBasis, buchberger, normal_form, ideal_member, ideal_equal,
 )
 
-from oracles import member_oracle
+from oracles import member_oracle, term_mul
 
 VARS = ("x", "y", "z")
 
@@ -198,8 +198,8 @@ def criterion_free_buchberger(gens, order, cap):
         i, j = pairs.pop()
         (mi, ci), (mj, cj) = basis[i].lead(order), basis[j].lead(order)
         m = tuple(map(max, mi, mj))
-        s = (basis[i].term_mul(tuple(a - b for a, b in zip(m, mi)), cj)
-             - basis[j].term_mul(tuple(a - b for a, b in zip(m, mj)), ci))
+        s = (term_mul(basis[i], tuple(a - b for a, b in zip(m, mi)), cj)
+             - term_mul(basis[j], tuple(a - b for a, b in zip(m, mj)), ci))
         r = normal_form(s, basis, order).remainder
         if not r.is_zero():
             if len(basis) == cap:

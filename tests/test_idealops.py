@@ -19,7 +19,7 @@ from limclose.localring import (
     LocalRingContext, _local_leads, local_equal, is_local_unit_ideal,
 )
 
-from oracles import monomials_up_to, rank_exact
+from oracles import monomials_up_to, rank_exact, term_mul
 
 VARS = ("x", "y", "z")
 X = Polynomial.variable("x", VARS)
@@ -396,7 +396,7 @@ def test_vecspace_dim_against_row_reduction_oracle():
         cols = []
         for g in gens:
             for s in monos:
-                p = g.term_mul(s, 1)
+                p = term_mul(g, s, 1)
                 vec = [Fraction(0)] * len(monos)
                 for e, c in p.terms.items():
                     if sum(e) < D:

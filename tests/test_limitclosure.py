@@ -1,5 +1,5 @@
 """Limit closures: colon chain behaviour, containments, quotient formula,
-mixed closures, monomial property."""
+mixed closures, monomial property, exact closure targets."""
 
 import random
 from functools import partial
@@ -7,7 +7,7 @@ from itertools import count
 
 import pytest
 
-from limclose import idealops, limitclosure, structure
+from limclose import idealops, limitclosure, localring, structure
 from limclose.polycore import Polynomial
 from limclose.idealops import Ideal, ideal_sum, ideals_equal, ideal_colon
 from limclose.localring import (
@@ -16,7 +16,8 @@ from limclose.localring import (
 )
 from limclose.limitclosure import (
     colon_step, colon_by_product, limit_closure, limit_closure_mixed,
-    monomial_property, closure_colength, _colength, _stabilize,
+    monomial_property, closure_colength, closure_target, _colength,
+    _stabilize,
 )
 
 
@@ -396,3 +397,82 @@ def test_closure_lengths_on_quadric(catalan_ring):
     for n in (1, 2):
         res = limit_closure(yuv.powers(n))
         assert local_length(res.closure, ctx) == n ** 3
+
+
+# -- exact closure targets ---------------------------------------------------
+
+def _random_linear_sops(ctx, rng, k):
+    """k sops of random linear forms with coefficients in -2..2."""
+    gens = [Polynomial.variable(n, ctx.vars) for n in ctx.vars]
+    found = []
+    while len(found) < k:
+        seq = SequenceInR([sum((rng.randint(-2, 2) * g for g in gens),
+                               ctx.zero_poly()) for _ in range(ctx.dim)], ctx)
+        if not any(e.is_zero() for e in seq.entries) and is_sop(seq):
+            found.append(seq)
+    return found
+
+
+def test_closure_target_is_the_closure(plane, space, split_ring,
+                                       three_level_ring, catalan_ring,
+                                       glued_ring):
+    # R/U is Cohen-Macaulay on every ring here, so the target is taken and
+    # is locally the windowed closure.  The chains of random squares and
+    # cubes on the two 4-variable rings take seconds to minutes, so there
+    # the random sops are taken to the first power only.
+    rng = random.Random(16)
+    cases = []
+    for fix in (plane, space, split_ring, three_level_ring):
+        for sop in [fix.sop] + _random_linear_sops(fix.ctx, rng, 2):
+            cases += [sop.powers(v) for v in (1, 2, 3)]
+    for fix in (catalan_ring, glued_ring):
+        sop = SequenceInR(catalan_ring.sop.entries, fix.ctx)    # (x+y, u, v)
+        cases += [sop.powers(v) for v in (1, 2, 3)]
+        cases += _random_linear_sops(fix.ctx, rng, 2)
+    indices = set()
+    for seq in cases:
+        target = closure_target(seq)
+        assert target is not None, (seq.ctx.defining, seq.entries)
+        res = limit_closure(seq)
+        assert local_equal(target, res.closure, seq.ctx), \
+            (seq.ctx.defining, seq.entries)
+        indices.add(res.stabilization_index)
+    assert indices == {1, 2, 3}     # chains that stop late are covered
+    # the glued ring's (y, u, v) is no sop: no target
+    assert closure_target(glued_ring.sop) is None
+
+
+def test_closure_target_needs_a_cohen_macaulay_quotient(two_planes,
+                                                        veronese_pair):
+    # two planes meeting at a point: U = 0 and R is not Cohen-Macaulay;
+    # (x) + U would have colength 3 where the closure has colength 1
+    ctx, seq = two_planes
+    assert closure_target(seq) is None
+    assert closure_colength(seq) == 1
+    assert local_length(ideal_sum(seq.ideal(), ctx.hull(ctx.dim)), ctx) == 3
+    # the Veronese R is a domain that is not Cohen-Macaulay
+    assert closure_target(veronese_pair.sop) is None
+
+
+def test_hull_and_the_cm_test_run_once_per_ring(monkeypatch, split_ring,
+                                                two_planes):
+    hulls, cm_tests = [], []
+    real_hull, real_cm = localring.hull, limitclosure._regular_modulo
+    monkeypatch.setattr(localring, "hull",
+                        lambda J, k: hulls.append(k) or real_hull(J, k))
+    monkeypatch.setattr(limitclosure, "_regular_modulo",
+                        lambda *a: cm_tests.append(a) or real_cm(*a))
+    # fresh contexts, so that nothing is cached on them yet
+    ctx = LocalRingContext(split_ring.ctx.vars, split_ring.ctx.defining)
+    sop = SequenceInR(split_ring.sop.entries, ctx)
+    good = SequenceInR(split_ring.extras["good_sop"].entries, ctx)
+    for seq in (sop, sop.powers(2), good, good.powers(3)):
+        assert closure_target(seq) is not None
+    structure.topology_scan(sop, n0=2, v_max=3)
+    structure.filtration_levels(ctx)
+    assert hulls == [2, 1] and len(cm_tests) == 1
+    pctx = LocalRingContext(two_planes[0].vars, two_planes[0].defining)
+    pseq = SequenceInR(two_planes[1].entries, pctx)
+    for seq in (pseq, pseq.powers(2), pseq):
+        assert closure_target(seq) is None
+    assert hulls == [2, 1, 2] and len(cm_tests) == 2

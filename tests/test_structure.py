@@ -4,7 +4,7 @@ scans, and closure contraction along a finite extension."""
 
 import pytest
 
-from limclose import structure
+from limclose import localring, structure
 from limclose.idealops import Ideal, ideal_intersect, hull
 from limclose.polycore import Polynomial
 from limclose.localring import (
@@ -178,12 +178,13 @@ def test_filtration_levels_are_computed_once_per_ring(monkeypatch,
     # call only, and later calls (goodsop after dimfilt) read them back
     ctx = LocalRingContext(split_ring.ctx.vars, split_ring.ctx.defining)
     hulls = []
-    real = structure.hull
-    monkeypatch.setattr(structure, "hull",
+    real = localring.hull
+    monkeypatch.setattr(localring, "hull",
                         lambda J, k: hulls.append(k) or real(J, k))
     first = structure.filtration_levels(ctx)
     assert hulls == [1, 2]
-    filt = dimension_filtration(ctx, split_ring.extras["good_sop"])
+    good = SequenceInR(split_ring.extras["good_sop"].entries, ctx)
+    filt = dimension_filtration(ctx, good)
     assert structure.filtration_levels(ctx) == first
     assert hulls == [1, 2]
     assert filt.dims == first[1] == [1, 2]
