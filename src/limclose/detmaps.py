@@ -107,14 +107,17 @@ def detmap_injective(problem, n_max=DEFAULT_N_MAX):
 
     The kernel is ((y)^lim : det)/(x)^lim, so the map is injective iff the
     colon is locally inside (x)^lim.  A determinant that vanishes in R gives
-    the zero map, injective only from the zero module.  Each closure is its
-    exact target where there is one (`closure_target`), else the stabilized
-    chain's term.
+    the zero map, injective only from the zero module, and (y)^lim is not
+    built.  Each closure is its exact target where there is one
+    (`closure_target`), else the stabilized chain's term.
     """
     ctx = problem.x.ctx
-    clo_x, clo_y = (closure_target(s) or limit_closure(s, n_max=n_max).closure
-                    for s in (problem.x, problem.y))
+
+    def closure(s):
+        return closure_target(s) or limit_closure(s, n_max=n_max).closure
+
+    clo_x = closure(problem.x)
     if local_member(problem.det, ctx.zero_ideal(), ctx):
         return is_local_unit_ideal(clo_x, ctx)
-    kernel = ideal_colon(ctx.adjoin(clo_y), problem.det)
+    kernel = ideal_colon(ctx.adjoin(closure(problem.y)), problem.det)
     return local_contains(kernel, clo_x, ctx)

@@ -18,8 +18,10 @@ Determinism: the division heap pops terms by descending int key, and
 divisors are tried in list order.  Each new basis element passes through
 one Gebauer-Moeller update, which decides once which of its pairs are
 queued and which queued pairs are dropped; the queued S-pairs are then
-processed by minimal lcm degree, ties broken by pair indices.  Field width
-changes neither choice, so a widened run gives the same basis.
+processed by minimal lcm degree, ties broken by pair indices.  A heap entry
+is unique per pair, so purging the dropped entries from the heap cannot
+change which pair is processed next.  Field width changes neither choice,
+so a widened run gives the same basis.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import gcd, lcm
 from operator import itemgetter, mul
 
@@ -340,7 +343,7 @@ def _buchberger(gens, packing, order, track):
     leads = []         # leading monomial of each basis element
     active = []        # indices new pairs may use (see _update)
     pairs = []         # heap of (lcm degree, j, i, lcm) with j < i
-    dead = set()       # queued (j, i) that a later update dropped
+    dead = set()       # still queued (j, i) that a later update dropped
     for k, g in enumerate(gens):
         if g.is_zero():
             continue
@@ -355,6 +358,7 @@ def _buchberger(gens, packing, order, track):
     while pairs:
         _, j, i, m = heapq.heappop(pairs)
         if (j, i) in dead:
+            dead.remove((j, i))
             continue
         lmi, lki, lci, taili, _ = reducers[i]
         lmj, lkj, lcj, tailj, _ = reducers[j]
@@ -414,8 +418,10 @@ def _update(packing, leads, active, pairs, dead):
       another remaining pair's lcm divides.  Pairs with coprime leads
       (lcm = product) are dropped only after that (product criterion):
       they still drop others.
-    - Criterion B: a queued pair (g1, g2) dies when lead(h) divides its lcm
-      and neither lcm(g1, h) nor lcm(g2, h) equals it.
+    - Criterion B: a live queued pair (g1, g2) dies when lead(h) divides
+      its lcm and neither lcm(g1, h) nor lcm(g2, h) equals it.  `dead`
+      holds the queued pairs that died; once they outnumber the live ones
+      the heap is rebuilt, in place, without them.
     - An active element whose lead lead(h) divides is retired.
     """
     guard = packing.guard
@@ -423,17 +429,28 @@ def _update(packing, leads, active, pairs, dead):
     i = len(leads) - 1
     mh = leads[i]
     for _, j, k, m in pairs:
-        if (not (m - mh) & guard and m != lcm_of(leads[j], mh)
-                and m != lcm_of(leads[k], mh)):
+        if ((j, k) not in dead and not (m - mh) & guard
+                and m != lcm_of(leads[j], mh) and m != lcm_of(leads[k], mh)):
             dead.add((j, k))
+    if 2 * len(dead) > len(pairs):
+        pairs[:] = [p for p in pairs if (p[1], p[2]) not in dead]
+        heapq.heapify(pairs)
+        dead.clear()
     new = [lcm_of(mh, leads[j]) for j in active]
-    kept = []
+    kept = []          # lcms of the pairs kept so far, coprime ones included
     for n, (m, j) in enumerate(zip(new, active)):
-        coprime = m == mh + leads[j]
-        if coprime or not any(
-                not (m - m2) & guard for m2 in new[n + 1:] + kept):
+        if m == mh + leads[j]:
             kept.append(m)
-            if not coprime:
+            continue
+        for m2 in kept:
+            if not (m - m2) & guard:
+                break
+        else:
+            for m2 in islice(new, n + 1, None):
+                if not (m - m2) & guard:
+                    break
+            else:
+                kept.append(m)
                 heapq.heappush(pairs, (packing.degree(m), j, i, m))
     return [j for j in active if (leads[j] - mh) & guard] + [i]
 

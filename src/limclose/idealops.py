@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from .polycore import Polynomial, MonomialOrder, GREVLEX, VariableMismatch, \
     mono_divides
@@ -122,7 +122,6 @@ def ideal_power(I, k):
         raise ValueError("k must be >= 1")
     if k == 1:
         return Ideal(I.vars, list(I.gens))
-    from itertools import combinations_with_replacement
     gens = []
     for combo in combinations_with_replacement(I.gens, k):
         p = combo[0]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from numbers import Rational
 from operator import le
 
@@ -316,7 +317,6 @@ class Polynomial:
         """
         if not self.terms:
             return self
-        from math import gcd, lcm
         den = 1
         for c in self.terms.values():
             if isinstance(c, Fraction):

@@ -154,8 +154,9 @@ def _perturb(problem, rng):
 
 def _quadric_cases(catalan_ring):
     """Six cases on the quadric hypersurface (equidimensional): three with
-    y a sop, three not (one with det = 0).  Every y entry lies in (x) + J so
-    the coefficient matrix exists globally."""
+    y a sop, three not.  Every y entry lies in (x) + J so the coefficient
+    matrix exists globally; the three non-sop cases get a matrix with
+    det = 0 in R from `express_in_terms`."""
     ctx = catalan_ring.ctx
     x, y, u, v = (catalan_ring.extras[k] for k in "xyuv")
     X = catalan_ring.sop                      # (x+y, u, v)
@@ -210,8 +211,9 @@ def test_zero_determinant_map(catalan_ring):
 def test_readers_build_no_chain_where_the_target_is_exact(
         monkeypatch, split_ring, catalan_ring):
     # R/U is Cohen-Macaulay on the split ring and the quadric: the topology
-    # scan and the determinantal map read (x) + U and build no colon term;
-    # a y that is no sop still takes the chain
+    # scan and the determinantal map read (x) + U and build no colon term.
+    # A determinant that vanishes in R reads no closure of y; a y that is
+    # no sop, under a determinant that does not vanish, takes the chain
     calls = []
     real = limitclosure.colon_step
     monkeypatch.setattr(limitclosure, "colon_step",
@@ -220,8 +222,18 @@ def test_readers_build_no_chain_where_the_target_is_exact(
     assert rep.failure_k == 2 and str(rep.witness) == "x"
     assert topology_scan(catalan_ring.sop, n0=2, v_max=4).success
     cases = _quadric_cases(catalan_ring)
-    X, D1, D3 = cases[0][0], cases[1][1], cases[3][1]
+    X, D1, D3, D4 = cases[0][0], cases[1][1], cases[3][1], cases[4][1]
     assert detmap_injective(express_in_terms(D1, X))
+    for D in (D3, D4):
+        prob = express_in_terms(D, X)
+        assert catalan_ring.ctx.defining.contains_poly(prob.det)
+        assert not detmap_injective(prob)
     assert calls == []
-    assert not detmap_injective(express_in_terms(D3, X))
+    vars = catalan_ring.ctx.vars
+    one, zero = Polynomial.constant(1, vars), Polynomial.zero(vars)
+    u = catalan_ring.extras["u"]
+    prob = DetMapProblem(X, D3, [[u, zero, zero], [zero, one, zero],
+                                 [zero, zero, one]])
+    assert not catalan_ring.ctx.defining.contains_poly(prob.det)
+    assert not detmap_injective(prob)
     assert calls

@@ -1,5 +1,6 @@
 """Buchberger kernel: canonicity, division certificates, membership."""
 
+import heapq
 import random
 from fractions import Fraction
 
@@ -256,6 +257,98 @@ def test_pair_update_agrees_with_criterion_free_buchberger():
                 acc = acc + c * f
             assert acc.terms == g.terms, f"trial {trial}"
     assert compared >= 120
+
+
+def reference_update(packing, leads, active, pairs, dead):
+    """Reference Gebauer-Moeller update: criterion B tests every queued
+    pair, dead ones included, the heap is never purged, and criteria M and
+    F scan a fresh copy new[n + 1:] + kept for each candidate."""
+    guard = packing.guard
+    lcm_of = packing.lcm
+    i = len(leads) - 1
+    mh = leads[i]
+    for _, j, k, m in pairs:
+        if (not (m - mh) & guard and m != lcm_of(leads[j], mh)
+                and m != lcm_of(leads[k], mh)):
+            dead.add((j, k))
+    new = [lcm_of(mh, leads[j]) for j in active]
+    kept = []
+    for n, (m, j) in enumerate(zip(new, active)):
+        coprime = m == mh + leads[j]
+        if coprime or not any(
+                not (m - m2) & guard for m2 in new[n + 1:] + kept):
+            kept.append(m)
+            if not coprime:
+                heapq.heappush(pairs, (packing.degree(m), j, i, m))
+    return [j for j in active if (leads[j] - mh) & guard] + [i]
+
+
+def _live(pairs, dead):
+    return sorted(p for p in pairs if (p[1], p[2]) not in dead)
+
+
+def test_pair_update_matches_the_reference_update(monkeypatch):
+    """The update skips and purges dead pairs, and scans M and F without
+    copies, yet decides as the reference does: after every update the same
+    live pairs are queued and the same active list is returned, and every
+    run ends in the same reduced basis and cofactor rows.  `dead` holds
+    only queued pairs, the heap stays a heap, and a purge leaves no dead
+    entry behind."""
+    real = groebner._update
+    purges = 0
+
+    def checked(packing, leads, active, pairs, dead):
+        nonlocal purges
+        ref_pairs, ref_dead = list(pairs), set(dead)
+        want = reference_update(packing, leads, list(active), ref_pairs,
+                                ref_dead)
+        before = {(j, i) for _, j, i, _ in pairs}
+        got = real(packing, leads, active, pairs, dead)
+        queued = {(j, i) for _, j, i, _ in pairs}
+        assert got == want
+        assert _live(pairs, dead) == _live(ref_pairs, ref_dead)
+        assert dead <= queued
+        assert all(pairs[(n - 1) // 2] <= pairs[n]
+                   for n in range(1, len(pairs)))
+        if before - queued:
+            purges += 1
+            assert not dead and before - queued <= ref_dead
+        return got
+
+    def basis(gens, order, track):
+        gb = buchberger(gens, order, track=track)
+        rows = gb.origin_cofactors
+        return ([g.terms for g in gb.generators],
+                rows and [[c.terms for c in row] for row in rows])
+
+    rng = random.Random(17)
+    for trial in range(240):
+        nvars = 2 + trial % 3
+        vars = ("x", "y", "z", "w")[:nvars]
+        perm = list(range(nvars))
+        rng.shuffle(perm)
+        order = [GREVLEX, MonomialOrder.lex(),
+                 MonomialOrder.block(1, perm=perm),
+                 MonomialOrder.lazard()][trial % 4]
+        # odd trials: many binomials, whose long pair queues purge often
+        ngens, nterms, deg = (2, 3), 3, 2
+        if trial % 2:
+            ngens, nterms, deg = (6, 9), 2, 3
+        gens = []
+        for _ in range(rng.randint(*ngens)):
+            terms = {}
+            for _ in range(rng.randint(1, nterms)):
+                # no constant term: the ideals stay proper
+                e = tuple(rng.randint(0, deg) for _ in vars)
+                if any(e):
+                    terms[e] = terms.get(e, 0) + rng.choice([-3, -1, 1, 2])
+            gens.append(Polynomial(vars, terms))
+        track = trial % 8 < 4
+        monkeypatch.setattr(groebner, "_update", reference_update)
+        want = basis(gens, order, track)
+        monkeypatch.setattr(groebner, "_update", checked)
+        assert basis(gens, order, track) == want, f"trial {trial}"
+    assert purges >= 50
 
 
 def test_packed_keys_agree_with_order_keys():
