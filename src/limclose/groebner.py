@@ -9,9 +9,10 @@ when b - a sets no guard bit.  The order key folds the order's integer
 weight rows (`MonomialOrder.rows`) into one int with a radix wider than any
 row value, so keys compare like `MonomialOrder.key` and add like the
 exponents.  A run packs its inputs once and unpacks only the reduced basis
-it returns; a field that would overflow restarts the run with wider
-fields.  Every basis element is kept integer-primitive, its cofactor row
-scaled alike, so division never meets a fraction.  Membership, with or
+it returns, or with `lead_monomials` only the leads of a minimal basis,
+which it never tail-reduces; a field that would overflow restarts the run
+with wider fields.  Every basis element is kept integer-primitive, its
+cofactor row scaled alike, so division never meets a fraction.  Membership, with or
 without a certificate, is one `normal_form` by the basis.
 
 Determinism: the division heap pops terms by descending int key, and
@@ -331,11 +332,38 @@ def buchberger(gens, order=GREVLEX, track=False):
     gens = list(gens)
     if all(g.is_zero() for g in gens):
         return GroebnerBasis([], order, origin_cofactors=[] if track else None)
-    return _widening(_bits(gens), lambda bits: _buchberger(
-        gens, _packing(order, len(gens[0].vars), bits), order, track))
+
+    def run(bits):
+        packing = _packing(order, len(gens[0].vars), bits)
+        reducers, rows, keep = _complete(gens, packing, track)
+        return _unpack_basis(packing, order, gens[0].vars,
+                             *_reduce(packing, reducers, keep, rows))
+
+    return _widening(_bits(gens), run)
 
 
-def _buchberger(gens, packing, order, track):
+def lead_monomials(gens, order=GREVLEX):
+    """The leading monomials of the reduced basis of (gens), ascending:
+    `tuple(buchberger(gens, order).leads())`.  A minimal basis has the same
+    leads, so they are read from the pair loop's packed basis, which is
+    neither tail-reduced nor unpacked."""
+    gens = list(gens)
+    if all(g.is_zero() for g in gens):
+        return ()
+
+    def run(bits):
+        packing = _packing(order, len(gens[0].vars), bits)
+        reducers, _, keep = _complete(gens, packing, False)
+        keep.sort(key=lambda i: reducers[i][1])
+        return tuple(packing.unpack(reducers[i][0]) for i in keep)
+
+    return _widening(_bits(gens), run)
+
+
+def _complete(gens, packing, track):
+    """The pair loop: (reducers, cofactor rows or None, keep) for a
+    Groebner basis of the non-zero gens, packed primitive, with the indices
+    `keep` of a minimal basis among its elements (`_minimal`)."""
     guard = packing.guard
     n_orig = len(gens)
     reducers = []      # one per basis element (see _reducer)
@@ -386,10 +414,8 @@ def _buchberger(gens, packing, order, track):
         leads.append(rem[0][0])
         active = _update(packing, leads, active, pairs, dead)
 
-    keep = _minimal(packing.guard, leads, active, n_in)
-    return _unpack_basis(packing, order, gens[0].vars,
-                         *_reduce(packing, reducers, keep,
-                                  rows if track else None))
+    return (reducers, rows if track else None,
+            _minimal(guard, leads, active, n_in))
 
 
 def _unpack_basis(packing, order, vars, basis, rows):

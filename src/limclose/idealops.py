@@ -1,6 +1,7 @@
 """Ideal-level algebra over the ambient polynomial ring: sum, power,
 intersection, colon, saturation, elimination, contraction along ring maps,
-dimensions and standard monomials of monomial (lead-term) ideals.
+dimensions and standard monomials, listed or counted, of monomial
+(lead-term) ideals.
 """
 
 from __future__ import annotations
@@ -383,7 +384,8 @@ def _supported_in(m, sset):
 def standard_monomials(I, order=GREVLEX, leads=None):
     """Monomials outside the lead-term ideal (of I under order, or spanned
     by `leads`); raises unless the quotient is a finite-dimensional vector
-    space."""
+    space.  Lengths are counted by `count_standard_monomials`; this listing
+    is its reference."""
     if leads is None:
         leads = I.groebner(order).leads()
     nvars = len(I.vars)
@@ -395,7 +397,7 @@ def standard_monomials(I, order=GREVLEX, leads=None):
             if caps[i] is None or m[i] < caps[i]:
                 caps[i] = m[i]
     if any(c is None for c in caps):
-        if leads and all(e == 0 for e in leads[0]):
+        if any(not any(m) for m in leads):
             return []  # unit ideal
         raise NotZeroDimensional("lead ideal lacks a pure power of some variable")
     out = []
@@ -418,3 +420,42 @@ def standard_monomials(I, order=GREVLEX, leads=None):
     rec(0)
     return out
 
+
+def count_standard_monomials(leads, nvars):
+    """len(standard_monomials(I, leads=leads)) for exponent tuples `leads`
+    over nvars variables, minimal or not, without listing: 0 when some lead
+    is the unit monomial; raises NotZeroDimensional unless some lead is a
+    pure power of every variable."""
+    powers = set()
+    for m in leads:
+        support = [i for i, e in enumerate(m) if e]
+        if not support:
+            return 0
+        if len(support) == 1:
+            powers.add(support[0])
+    if len(powers) < nvars:
+        raise NotZeroDimensional("lead ideal lacks a pure power of some variable")
+    return _count_standard(leads) if nvars else 1
+
+
+def _count_standard(leads):
+    """The count for leads over n >= 1 variables, a pure power of each
+    among them and none the unit monomial (Bayer & Stillman 1992,
+    "Computation of Hilbert functions"): slice on the first exponent.  Let
+    x_1^cap be the least pure power of x_1 among the leads.  Between
+    consecutive distinct first exponents lo < hi of the leads, capped at
+    cap, x_1^e * u with lo <= e < hi is standard exactly when u is standard
+    for the leads of first exponent at most lo, with x_1 dropped; from cap
+    on, nothing is."""
+    if len(leads[0]) == 1:
+        return min(m[0] for m in leads)
+    cap = min(m[0] for m in leads if not any(m[1:]))
+    total = 0
+    lo = 0
+    rest = []          # the leads of first exponent at most lo, x_1 dropped
+    for m in sorted(m for m in leads if m[0] < cap):
+        if m[0] > lo:
+            total += (m[0] - lo) * _count_standard(rest)
+            lo = m[0]
+        rest.append(m[1:])
+    return total + (cap - lo) * _count_standard(rest)

@@ -6,10 +6,14 @@ Localization is never represented by fractions.  Every answer is read from
 the leading monomials of a standard basis of (I + J)*R for the local degree
 order ds, computed by Lazard's homogenization on the global Buchberger
 kernel (Greuel-Pfister, A Singular Introduction to Commutative Algebra,
-1.6-1.7): the length is the number of monomials outside the lead ideal, the
-dimension that of the lead ideal, and since ideals I <= I' of the local
-ring with equal lead ideals are equal, I1*R <= I2*R exactly when the lead
-ideal of (I1 + I2)*R lies in that of I2*R.
+1.6-1.7).  Only the lead ideal is needed, so the kernel stops at the leads
+of a minimal basis (`groebner.lead_monomials`), which is never
+tail-reduced.  The length is the number of monomials outside the lead
+ideal, counted by slicing on exponents without listing them
+(`idealops.count_standard_monomials`); the dimension is that of the lead
+ideal; and since ideals I <= I' of the local ring with equal lead ideals
+are equal, I1*R <= I2*R exactly when the lead ideal of (I1 + I2)*R lies in
+that of I2*R.
 """
 
 from __future__ import annotations
@@ -18,10 +22,10 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .polycore import Polynomial, MonomialOrder, mono_divides
-from .groebner import buchberger
+from .groebner import lead_monomials
 from .idealops import (
-    Ideal, ideal_sum, standard_monomials, hull, _fresh_tag_var, _memoized,
-    _lead_dim, NotZeroDimensional, AmbientMismatch,
+    Ideal, ideal_sum, count_standard_monomials, hull, _fresh_tag_var,
+    _memoized, _lead_dim, NotZeroDimensional, AmbientMismatch,
 )
 
 
@@ -161,7 +165,7 @@ def is_local_unit_ideal(I, ctx):
 
 def _local_leads(I, ctx):
     """Leading monomials of a standard basis of (I + J)*R for ds: the
-    generators are homogenized by a fresh last variable h, and the reduced
+    generators are homogenized by a fresh last variable h, and a minimal
     basis under the lazard order, with h dropped from its leads, is one
     (Lazard).  The leads, not the basis, are memoized in the shared cache by
     the canonical generators of I + J; a hit returns a fresh list."""
@@ -174,19 +178,20 @@ def _local_leads(I, ctx):
             d = g.total_degree()
             homog.append(Polynomial(hvars, {e + (d - sum(e),): c
                                             for e, c in g.terms.items()}))
-        basis = buchberger(homog, MonomialOrder.lazard())
-        return tuple(m[:-1] for m in basis.leads())
+        return tuple(m[:-1] for m in lead_monomials(homog,
+                                                    MonomialOrder.lazard()))
 
     return list(_memoized(ctx.vars, "local leads", gens, leads, len))
 
 
 def local_length(I, ctx):
     """Length of R/I*R: the number of monomials outside the local lead
-    ideal; raises NotMPrimary when I*R is not m-primary."""
+    ideal, counted, not listed; raises NotMPrimary when I*R is not
+    m-primary."""
     if is_local_unit_ideal(I, ctx):
         return 0
     try:
-        return len(standard_monomials(I, leads=_local_leads(I, ctx)))
+        return count_standard_monomials(_local_leads(I, ctx), len(ctx.vars))
     except NotZeroDimensional:
         raise NotMPrimary("the ideal is not m-primary locally") from None
 

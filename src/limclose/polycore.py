@@ -145,7 +145,7 @@ LEX = MonomialOrder.lex()
 # ---------------------------------------------------------------------------
 
 def _normalize_coeff(c):
-    if isinstance(c, Fraction) and c.denominator == 1:
+    if type(c) is Fraction and c.denominator == 1:
         return int(c)
     return c
 
@@ -233,7 +233,7 @@ class Polynomial:
             raise VariableMismatch(f"{self.vars} vs {other.vars}")
 
     def __add__(self, other):
-        if isinstance(other, Rational):
+        if not isinstance(other, Polynomial) and isinstance(other, Rational):
             other = Polynomial.constant(other, self.vars)
         self._check(other)
         terms = dict(self.terms)
@@ -251,7 +251,7 @@ class Polynomial:
         return Polynomial(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, Rational):
+        if not isinstance(other, Polynomial) and isinstance(other, Rational):
             other = Polynomial.constant(other, self.vars)
         return self + (-other)
 
@@ -259,7 +259,7 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, Rational):
+        if not isinstance(other, Polynomial) and isinstance(other, Rational):
             if not other:
                 return Polynomial.zero(self.vars)
             return Polynomial(self.vars, {e: c * other for e, c in self.terms.items()})
@@ -299,10 +299,11 @@ class Polynomial:
         return self * c
 
     def __eq__(self, other):
+        if isinstance(other, Polynomial):
+            return self.vars == other.vars and self.terms == other.terms
         if isinstance(other, Rational):
             return self.terms == Polynomial.constant(other, self.vars).terms
-        return isinstance(other, Polynomial) and self.vars == other.vars \
-            and self.terms == other.terms
+        return False
 
     def __hash__(self):
         return hash((self.vars, frozenset(self.terms.items())))

@@ -428,6 +428,55 @@ def test_exponents_beyond_the_field_widen_the_run(monkeypatch):
     assert recombine(nf, [x - y ** 12]).terms == (x ** 12).terms
 
 
+def test_lead_monomials_are_the_reduced_basis_leads(monkeypatch):
+    """lead_monomials stops at a minimal basis, which it neither reduces
+    nor unpacks, yet returns exactly tuple(buchberger(...).leads()): under
+    grevlex, lex, a permuted block order, and lazard on homogenized inputs.
+    Terms may be constant, so some inputs are the unit ideal; all-zero
+    inputs give no leads, and a run that overflows is widened to the same
+    leads."""
+    rng = random.Random(29)
+    for trial in range(160):
+        nvars = 2 + trial % 3
+        vars = ("x", "y", "z", "w")[:nvars]
+        perm = list(range(nvars))
+        rng.shuffle(perm)
+        order = [GREVLEX, MonomialOrder.lex(),
+                 MonomialOrder.block(1, perm=perm),
+                 MonomialOrder.lazard()][trial % 4]
+        gens = []
+        for _ in range(rng.randint(1, 4)):
+            terms = {}
+            for _ in range(rng.randint(1, 3)):
+                e = tuple(rng.randint(0, 2) for _ in vars)
+                terms[e] = terms.get(e, 0) + rng.choice([-3, -1, 1, 2])
+            g = Polynomial(vars, terms)
+            if order.kind == "lazard" and not g.is_zero():
+                d = g.total_degree()
+                g = Polynomial(vars, {e[:-1] + (d - sum(e[:-1]),): c
+                                      for e, c in g.terms.items()})
+            gens.append(g)
+        want = tuple(buchberger(gens, order).leads())
+        assert groebner.lead_monomials(gens, order) == want, f"trial {trial}"
+    zero = Polynomial.zero(VARS)
+    assert groebner.lead_monomials([], GREVLEX) == ()
+    assert groebner.lead_monomials([zero, zero], GREVLEX) == ()
+
+    V = ("x", "y")
+    x, y = (Polynomial.variable(v, V) for v in V)
+    widths = []
+    packing = groebner._packing
+    monkeypatch.setattr(groebner, "_packing", lambda order, n, bits: (
+        widths.append(bits) or packing(order, n, bits)))
+    for gens, want in (([x ** 4 - y ** 20, x ** 9 * y - y ** 14],
+                        ((0, 142), (1, 14), (4, 0))),
+                       ([x - y ** 12, x ** 12 - 1], ((0, 144), (1, 0)))):
+        widths.clear()
+        assert groebner.lead_monomials(gens, MonomialOrder.lex()) == want
+        assert widths == [8, 16]
+        assert tuple(buchberger(gens, MonomialOrder.lex()).leads()) == want
+
+
 def test_known_basis_textbook_example():
     x = Polynomial.variable("x", VARS)
     y = Polynomial.variable("y", VARS)

@@ -12,7 +12,7 @@ from limclose.idealops import (
     Ideal, ideal_sum, ideal_power, ideal_intersect,
     ideal_colon, ideal_colon_ideal, ideal_saturate, ideals_equal, hull,
     eliminate, contract, RingMapPresentation, standard_monomials,
-    AmbientMismatch, NotZeroDimensional, _lead_dim,
+    count_standard_monomials, AmbientMismatch, NotZeroDimensional, _lead_dim,
     _fresh_tag_var,
 )
 from limclose.localring import (
@@ -414,3 +414,71 @@ def test_standard_monomials_requires_zero_dimensionality():
     assert standard_monomials(Ideal(VARS, [ONE])) == []
     sm = standard_monomials(Ideal(VARS, [X ** 2, Y, Z]))
     assert sorted(sm) == [(0, 0, 0), (1, 0, 0)]
+    # a unit lead anywhere in a lead list, not only first, is the unit ideal
+    plane = Ideal(("x", "y"), [])
+    assert standard_monomials(plane, leads=[(1, 0), (0, 0)]) == []
+    assert count_standard_monomials([(1, 0), (0, 0)], 2) == 0
+
+
+def _listed(leads, nvars):
+    """The listing reference for count_standard_monomials."""
+    ring = Ideal(tuple(f"x{i}" for i in range(nvars)), [])
+    return len(standard_monomials(ring, leads=leads))
+
+
+def test_count_standard_monomials_matches_the_listing():
+    """The sliced count agrees with the listing on seeded monomial ideals
+    in 1-5 variables, given as non-minimal lists (repeats and multiples,
+    shuffled): 0 when a unit lead is anywhere in the list, and
+    NotZeroDimensional, from both, when some variable has no pure power."""
+    rng = random.Random(73)
+    cap = {1: 9, 2: 8, 3: 6, 4: 5, 5: 4}
+    counted = raised = units = 0
+    for trial in range(300):
+        n = 1 + trial % 5
+        leads = []
+        for i in range(n):
+            if rng.random() < 0.92:
+                leads.append(tuple(rng.randint(1, cap[n]) if j == i else 0
+                                   for j in range(n)))
+        for _ in range(rng.randint(0, 6)):
+            m = tuple(rng.randint(0, cap[n] - 1) for _ in range(n))
+            if any(m):
+                leads.append(m)
+        for m in rng.sample(leads, min(2, len(leads))):
+            leads.append(m)
+            leads.append(tuple(e + rng.randint(0, 2) for e in m))
+        if trial % 11 == 0:
+            leads.append((0,) * n)
+        rng.shuffle(leads)
+        try:
+            want = _listed(leads, n)
+        except NotZeroDimensional:
+            with pytest.raises(NotZeroDimensional):
+                count_standard_monomials(leads, n)
+            raised += 1
+            continue
+        assert count_standard_monomials(leads, n) == want, f"trial {trial}"
+        counted += 1
+        units += want == 0
+    assert counted >= 200 and raised >= 30 and units >= 20
+
+
+def test_count_standard_monomials_at_scale():
+    """Counts at about the sizes where listing every standard monomial
+    took 0.25 s and 2 s, each pinned by a closed form: prod(a) for the pure
+    powers x_i^a_i, and by inclusion-exclusion when u = x1^12 x2^11 and
+    v = x3^10 x4^9 (and a multiple of u) join them."""
+    a = (29, 29, 29, 28)
+    powers = [tuple(a[i] if j == i else 0 for j in range(4)) for i in range(4)]
+    assert count_standard_monomials(powers, 4) == 29 ** 3 * 28 == 682_892
+    a, b = (17, 16, 15, 14), (12, 11, 10, 9)
+    powers = [tuple(a[i] if j == i else 0 for j in range(4)) for i in range(4)]
+    u, v = (12, 11, 0, 0), (0, 0, 10, 9)
+    box = a[0] * a[1] * a[2] * a[3]
+    in_u = (a[0] - b[0]) * (a[1] - b[1]) * a[2] * a[3]
+    in_v = a[0] * a[1] * (a[2] - b[2]) * (a[3] - b[3])
+    in_both = (a[0] - b[0]) * (a[1] - b[1]) * (a[2] - b[2]) * (a[3] - b[3])
+    leads = powers + [v, (12, 11, 1, 0), u]
+    assert count_standard_monomials(leads, 4) == \
+        box - in_u - in_v + in_both == 45_695

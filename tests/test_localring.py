@@ -142,7 +142,7 @@ def test_local_leads_cache_answers_every_presentation_alike(split_ring,
             I2 = Ideal(V, scaled + [scaled[0] * rng.choice([-1, 2])])
             want = uncached(_local_leads, I2, ctx)
             with monkeypatch.context() as m:
-                m.setattr(localring, "buchberger", None)
+                m.setattr(localring, "lead_monomials", None)
                 got = _local_leads(I2, ctx)
                 got.append(None)
                 again = _local_leads(I2, ctx)
