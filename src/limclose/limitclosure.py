@@ -10,14 +10,16 @@ runs through `limit_closure` like any other.
 Stabilization is detected by a window of consecutive equal chain terms
 (`_stabilize`, which also stops the closure intersections of `structure`);
 Noetherianity guarantees termination but gives no bound, so the window is a
-heuristic and callers cross-check stable values independently.
+heuristic.  `topo` and `detmap` skip the window where `closure_target`
+applies (below).
 
 Only the comparison inside the window is exact.  When the sequence is
-m-primary (for a mixed closure: head and tail together), the window runs over the colengths len R/chain[n] (`_colength`),
-which two local standard bases give without a colon; the chain increases,
-so two terms are locally equal exactly when their colengths are, and the
-one term returned is then built by `colon_step`.  Where the colengths are
-infinite the window compares the colon terms themselves.
+m-primary (for a mixed closure: head and tail together), the window runs
+over the colengths len R/chain[n] (`_colength`), which two local standard
+bases give without a colon; the chain increases, so two terms are locally
+equal exactly when their colengths are, and the one term returned is then
+built by `colon_step`.  Where the colengths are infinite the window
+compares the colon terms themselves.
 
 Readers that need the closure only locally (`structure.topology_scan`,
 `detmaps.detmap_injective`) can skip the chain on many rings:

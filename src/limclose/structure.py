@@ -1,23 +1,23 @@
 """Structural invariants of the local ring: unmixed component via
 stabilized intersections of limit closures (Theorem A), dimension
-filtration, good-sop verification, Hilbert-Samuel tables and multiplicity,
+filtration, good sops, Hilbert-Samuel tables and multiplicity,
 length-difference functions, topology scans, and closure contraction along
 finite extensions.
 
 The filtration levels are exact and do not depend on a sop: D_i is
 hull(J, i + 1) / J, the intersection of the components of J of dimension
 > i by extension and contraction (`idealops.hull`), computed once per
-ring and kept on its context, not once per sop candidate.  A sop enters
-only the goodness test.  The unmixed component stays on Theorem A, the
-paper's route, and the hull is its test oracle.
+ring and kept on its context with the annihilators J : D_i.  A good sop
+for them is built, not searched for (`dimension_filtration`).  The
+unmixed component stays on Theorem A, the paper's route, and the hull is
+its test oracle.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import partial
-from itertools import accumulate, count, permutations, product
+from itertools import accumulate, count
 
 from .polycore import Polynomial
 from .idealops import (
@@ -33,7 +33,6 @@ from .limitclosure import (
 
 
 DEFAULT_INTERSECT_N = 8
-FILTRATION_RETRIES = 8
 
 
 @dataclass
@@ -46,8 +45,7 @@ class UnmixedComponentResult:
 class DimensionFiltration:
     chain: list            # ambient ideals, smallest submodule first; last is R
     dims: list             # module dimensions, strictly increasing; last is d
-    sop: SequenceInR
-    goodness_verified: bool
+    sop: SequenceInR       # good for the chain
 
 
 @dataclass
@@ -159,74 +157,74 @@ def filtration_levels(ctx):
     and their module dimensions, strictly increasing, ending with R and d.
     D_i, the largest submodule of dimension <= i, is hull(J, i + 1) / J;
     zero and locally repeated levels are dropped.  No sop is involved, so
-    the levels are computed once per ring and kept on its context."""
+    the levels, with the annihilators J : D_i of the proper ones that give
+    their dimensions, are computed once per ring and kept on its context."""
     if ctx._filtration is None:
-        chain, dims = [], []
+        chain, dims, anns = [], [], []
         for j in range(1, ctx.dim + 1):
             K = ctx.hull(j)
-            dm = submodule_dim(K, ctx)
-            if dm < 0 or chain and local_equal(chain[-1], K, ctx):
+            if local_contains(K, ctx.zero_ideal(), ctx) \
+                    or chain and local_equal(chain[-1], K, ctx):
                 continue
+            anns.append(ideal_colon_ideal(ctx.defining, K))
             chain.append(K)
-            dims.append(dm)
+            dims.append(local_dim(anns[-1], ctx))
         chain.append(ctx.adjoin(Ideal(ctx.vars, [ctx.one()])))  # R itself
         dims.append(ctx.dim)
-        ctx._filtration = chain, dims
-    chain, dims = ctx._filtration
+        ctx._filtration = chain, dims, anns
+    chain, dims, _ = ctx._filtration
     return list(chain), list(dims)
 
 
-def dimension_filtration(ctx, sop, seed=0):
-    """The dimension filtration of R (`filtration_levels`), with a sop that
-    is good for it.
+def dimension_filtration(ctx, sop):
+    """The dimension filtration of R (`filtration_levels`) with a good sop
+    y built from the sop x; y = x when x is good.
 
-    Goodness of the sop is verified against the chain; on failure the sop
-    is perturbed (reordered, entries pushed deeper into m, recombined) and
-    the test retried; the last candidate is returned flagged unverified
-    when retries are exhausted.
+    For j = d, ..., 1 let D be the largest proper level of dimension < j.
+    y_j is the first candidate c with dim R/(c, y_{>j}) = j - 1: x_j if it
+    lies in Ann D or there is no D, then the reduced generators g_1..g_s of
+    ((x) + J) cap Ann D (the entries of x when there is no D), then
+    t g_1 + t^2 g_2 + ... + t^s g_s for t = 1, 2, ...  The sop returned is
+    y^[n] for the least n that passes `is_good_sop`.  Every loop ends:
+    - Every candidate lies in (x) + J, so none is a unit at the origin.
+    - Prime avoidance: c must avoid the primes P of dimension j minimal
+      over (y_{>j}) + J.  Neither (x) + J, m-primary, nor Ann D, with
+      dim V(Ann D) = dim D < j, lies in P, nor does their product, which
+      lies in ((x) + J) cap Ann D; so some g_k is outside P.
+    - Vandermonde: the c in Q^s with sum c_k g_k in P form a proper
+      subspace, which holds at most s - 1 of the independent points
+      (t, ..., t^s), t > 0; so at most s - 1 values of t fail per P.
+    - Artin-Rees: for each proper level D_i, a = (y_j : j > d_i) lies in
+      Ann D_i, so a^n cap D_i lies in a^(n - c) D_i = 0 for n > c; and
+      (y_j^n : j > d_i) lies in a^n.
+    A good x_j lies in Ann D_i for j > d_i, as x_j D_i lies in
+    (x_{>d_i}) cap D_i = 0 (good sops: Cuong-Cuong, Kodai Math. J. 30).
     """
     if not is_sop(sop):
         raise ValueError("sequence is not a system of parameters")
     chain, dims = filtration_levels(ctx)
-    rng = random.Random(seed)
-    last = None
-    for attempt, current in enumerate(_sop_candidates(sop, rng)):
-        if attempt > FILTRATION_RETRIES:
-            break
-        if attempt > 0 and not is_sop(current):
-            continue
-        last = current
-        if is_good_sop(current):
-            return DimensionFiltration(chain, dims, current, True)
-    return DimensionFiltration(chain, dims, last, False)
+    levels = list(zip(ctx._filtration[2], dims))
+    y = []
+    for j in range(ctx.dim, 0, -1):
+        ann = next((a for a, dm in reversed(levels) if dm < j), None)
+        y.insert(0, next(c for c in _candidates(sop, j, ann)
+                         if local_dim(Ideal(ctx.vars, [c, *y]), ctx) == j - 1))
+    y = SequenceInR(y, ctx)
+    return DimensionFiltration(chain, dims, next(
+        s for s in map(y.powers, count(1)) if is_good_sop(s)))
 
 
-def _sop_candidates(sop, rng):
-    """The sop itself, then its reorderings (goodness is order sensitive:
-    tail entries must annihilate the small filtration levels), then
-    reorderings with entries squared (pushing tail entries deeper into m,
-    towards the annihilators of the small levels), then random
-    recombinations."""
+def _candidates(sop, j, ann):
+    """The candidates for y_j in `dimension_filtration`; ann is Ann D."""
     ctx = sop.ctx
-    yield sop
-    seen = {tuple(map(str, sop.entries))}
-    masks = sorted(product((1, 2), repeat=len(sop.entries)),
-                   key=lambda m: (sum(m), m))
-    for mask in masks:
-        for perm in permutations(sop.entries):
-            entries = [e ** k for e, k in zip(perm, mask)]
-            key = tuple(map(str, entries))
-            if key in seen:
-                continue
-            seen.add(key)
-            yield SequenceInR(entries, ctx)
-    while True:
-        entries = list(sop.entries)
-        i = rng.randrange(len(entries))
-        j = rng.randrange(len(entries))
-        if i != j:
-            entries[i] = entries[i] + rng.choice([1, -1, 2]) * entries[j]
-        yield SequenceInR(entries, ctx)
+    x_j = sop.entries[j - 1]
+    if ann is None or local_member(x_j, ann, ctx):
+        yield x_j
+    gens = sop.entries if ann is None else ideal_intersect(
+        ctx.adjoin(sop.ideal()), ann).reduced_gens()
+    yield from gens
+    for t in count(1):
+        yield sum((t ** k * g for k, g in enumerate(gens, 1)), ctx.zero_poly())
 
 
 # ---------------------------------------------------------------------------
@@ -326,21 +324,19 @@ def topology_scan(seq, n0=4, v_max=8):
 # closure contraction along a finite extension
 # ---------------------------------------------------------------------------
 
-def cyclic_cover_closure_check(ring_map, seq, check_unmixed_sop=None):
+def cyclic_cover_closure_check(ring_map, seq):
     """Compare the closure of a sop in R with the contraction of the closure
     of its image in a module-finite extension S.
 
-    `check_unmixed_sop`: optional sop used to verify the source is unmixed
-    (zero unmixed component) before the comparison; a non-trivial component
-    is an error advising to pass to R/U first.
+    The source must be unmixed: its unmixed component U = hull(J, d)/J,
+    the one `closure_target` uses, is zero locally.  Otherwise this is an
+    error advising to pass to R/U first.
     """
     ctx = seq.ctx
-    if check_unmixed_sop is not None:
-        U = unmixed_component(ctx, check_unmixed_sop).component
-        if not local_contains(U, ctx.zero_ideal(), ctx):
-            raise ValueError(
-                "source ring is not unmixed; quotient by the unmixed "
-                "component first")
+    if not local_contains(ctx.hull(ctx.dim), ctx.zero_ideal(), ctx):
+        raise ValueError(
+            "source ring is not unmixed; quotient by the unmixed "
+            "component first")
     tctx = LocalRingContext(ring_map.target_vars, ring_map.target_ideal)
     images = [ring_map.apply(e) for e in seq.entries]
     tseq = SequenceInR(images, tctx)

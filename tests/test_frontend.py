@@ -159,6 +159,16 @@ def test_readme_lists_every_command():
     assert {name.strip() for name in listed.split(",")} == set(COMMANDS)
 
 
+def test_readme_documents_every_flag():
+    # every option `limclose --help` lists, and no other, in the CLI section
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    cli = readme.split("\n## CLI\n")[1].split("\n## ")[0]
+    flag = re.compile(r"--[a-z][a-z-]*")
+    helped = run_cli(["--help"])
+    assert helped.returncode == 0
+    assert set(flag.findall(cli)) == set(flag.findall(helped.stdout))
+
+
 def test_dispatch_values(split_session_results):
     by_line = {}
     for stmt, res in split_session_results:
@@ -274,6 +284,24 @@ def test_cli_json_output_is_byte_identical_between_runs():
     p2 = run_cli(["-", "--json"], stdin_text=text)
     assert p1.returncode == p2.returncode == 0
     assert p1.stdout == p2.stdout
+
+
+def test_cli_dimfilt_builds_a_good_sop():
+    # no reordering of this sop, with or without squared entries, is good;
+    # the filtration's sop is built good, so the verdict is true
+    text = ("ring A = QQ[x, y, z] / (x*y, x*z);\n"
+            "seq S = [-x - 2*y - z, -2*x + z];\n"
+            "show dimfilt(A, S);\n")
+    proc = run_cli(["-"], stdin_text=text)
+    assert proc.returncode == 0
+    assert proc.stdout == ("# dimfilt (line 3)\ndim  generators\n"
+                           "1    x         \n2    1         \n"
+                           "verdict: true\n")
+    doc = json.loads(run_cli(["-", "--json"], stdin_text=text).stdout)
+    assert doc["tables"]["rows"] == [["1", "x"], ["2", "1"]]
+    assert doc["verdict"] is True and doc["warnings"] == []
+    # there is no --seed option
+    assert run_cli(["-", "--seed", "0"], stdin_text=text).returncode == 2
 
 
 def test_cli_module_error_exit_one():

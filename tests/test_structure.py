@@ -2,6 +2,8 @@
 sops, Hilbert-Samuel tables, the two length-difference functions, topology
 scans, and closure contraction along a finite extension."""
 
+import random
+
 import pytest
 
 from limclose import localring, structure
@@ -9,7 +11,7 @@ from limclose.idealops import Ideal, ideal_intersect, hull
 from limclose.polycore import Polynomial
 from limclose.localring import (
     LocalRingContext, SequenceInR, local_equal, local_contains, local_length,
-    NotStabilized,
+    is_sop, NotStabilized,
 )
 from limclose.structure import (
     unmixed_component, dimension_filtration, is_good_sop,
@@ -18,6 +20,19 @@ from limclose.structure import (
 )
 
 from oracles import quotient_count, contracted_quotient_count
+
+
+@pytest.fixture(autouse=True)
+def power_loop_cap(monkeypatch):
+    """`dimension_filtration` ends its power loop at y^[1] on every input
+    here; a construction that runs past y^[3] fails, rather than hangs."""
+    real = structure.is_good_sop
+
+    def capped(sop):
+        assert sop.exponent <= 3, "the power loop did not end by y^[3]"
+        return real(sop)
+
+    monkeypatch.setattr(structure, "is_good_sop", capped)
 
 
 # -- unmixed component -------------------------------------------------------
@@ -112,7 +127,6 @@ def test_filtration_split_ring(split_ring):
     filt = dimension_filtration(ctx, split_ring.sop)
     assert filt.dims == [1, 2]
     assert local_equal(filt.chain[0], split_ring.extras["U"], ctx)
-    assert filt.goodness_verified
     # the returned sop is good for the ring's filtration
     assert is_good_sop(filt.sop)
 
@@ -120,7 +134,7 @@ def test_filtration_split_ring(split_ring):
 def test_filtration_reorders_an_ungood_sop(split_ring):
     # (y, x+z) fails goodness as given; the verified sop is a permutation
     filt = dimension_filtration(split_ring.ctx, split_ring.sop)
-    assert filt.goodness_verified
+    assert is_good_sop(filt.sop)
     got = [str(e) for e in filt.sop.entries]
     assert got == ["x + z", "y"]
 
@@ -136,7 +150,7 @@ def test_filtration_three_levels(three_level_ring):
     ctx = three_level_ring.ctx
     filt = dimension_filtration(ctx, three_level_ring.sop)
     assert filt.dims == [0, 1, 2]
-    assert filt.goodness_verified
+    assert is_good_sop(filt.sop)
     # strictly increasing chain
     for small, big in zip(filt.chain, filt.chain[1:]):
         assert local_contains(small, big, ctx)
@@ -195,8 +209,35 @@ def test_filtration_of_domain_is_trivial(plane):
     filt = dimension_filtration(plane.ctx, plane.sop)
     assert filt.dims == [2]
     assert len(filt.chain) == 1
-    assert filt.goodness_verified
+    assert is_good_sop(filt.sop)
 
+
+def test_constructed_sops_are_good(split_ring, three_level_ring):
+    # 15 seeded random linear sops on each ring; T is the three-level
+    # ideal by its degree-3 generators, as the benchmark session writes it
+    V = split_ring.ctx.vars
+    x, y, z = (Polynomial.variable(n, V) for n in V)
+    T = LocalRingContext(V, Ideal(V, [x ** 2 * z, x * y * z, x * z ** 2,
+                                      y ** 2 * z, y * z ** 2]))
+    rng = random.Random(5)
+    for ctx in (split_ring.ctx, three_level_ring.ctx, T):
+        levels = list(structure.filtration_levels(ctx))
+        built = 0
+        while built < 15:
+            entries = [sum((rng.randint(-2, 2) * v for v in (x, y, z)),
+                           ctx.zero_poly()) for _ in range(ctx.dim)]
+            sop = SequenceInR(entries, ctx)
+            if any(e.is_zero() for e in entries) or not is_sop(sop):
+                continue
+            built += 1
+            filt = dimension_filtration(ctx, sop)
+            assert is_sop(filt.sop) and is_good_sop(filt.sop), entries
+            assert [filt.chain, filt.dims] == levels
+    # a 0-dimensional ring: one level, R itself, and the empty sop
+    art = LocalRingContext(V, Ideal(V, [x ** 2, y ** 2, z]))
+    filt = dimension_filtration(art, SequenceInR([], art))
+    assert filt.dims == [0] and filt.sop.entries == []
+    assert is_sop(filt.sop) and is_good_sop(filt.sop)
 
 # -- Hilbert-Samuel ----------------------------------------------------------
 
@@ -330,5 +371,4 @@ def test_cyclic_cover_unmixed_guard(split_ring):
         target_vars=ctx.vars, target_ideal=ctx.defining,
         images={v: Polynomial.variable(v, ctx.vars) for v in ctx.vars})
     with pytest.raises(ValueError):
-        cyclic_cover_closure_check(ident, split_ring.sop,
-                                   check_unmixed_sop=split_ring.sop)
+        cyclic_cover_closure_check(ident, split_ring.sop)
