@@ -252,8 +252,15 @@ def hull(J, k):
     distinct leading coefficients in K[u], is the intersection of the
     components whose primes meet K[u] only in 0.  Every component of dimension >= k has such a u, so
     the intersection over all of them is the answer; with no such u it is
-    the unit ideal.  Components away from the origin are units locally."""
+    the unit ideal.  Components away from the origin are units locally.
+
+    A principal J = (f) needs no loop for k < n: every associated prime of
+    a nonzero principal ideal of the factorial ring K[x_1..x_n] is a prime
+    (p) for a factor p of f, of height 1, so every component has dimension
+    n - 1 >= k and the hull is J."""
     vars = J.vars
+    if len(J.gens) == 1 and k < len(vars):
+        return Ideal(vars, list(J.gens))
     out = None
     for u in combinations(vars, k):
         rest = [v for v in vars if v not in u]

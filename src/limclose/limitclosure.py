@@ -10,8 +10,8 @@ runs through `limit_closure` like any other.
 Stabilization is detected by a window of consecutive equal chain terms
 (`_stabilize`, which also stops the closure intersections of `structure`);
 Noetherianity guarantees termination but gives no bound, so the window is a
-heuristic.  `topo` and `detmap` skip the window where `closure_target`
-applies (below).
+heuristic.  `topo`, `detmap`, `monomial-check` and the closure column of
+`ij` skip the window where `closure_target` applies (below).
 
 Only the comparison inside the window is exact.  When the sequence is
 m-primary (for a mixed closure: head and tail together), the window runs
@@ -22,7 +22,8 @@ built by `colon_step`.  Where the colengths are infinite the window
 compares the colon terms themselves.
 
 Readers that need the closure only locally (`structure.topology_scan`,
-`detmaps.detmap_injective`) can skip the chain on many rings:
+`detmaps.detmap_injective`, `closure_colength`) can skip the chain on many
+rings:
 
 Theorem.  Let x be a sop of R, d = dim R >= 1, and U the largest
 submodule of R of dimension < d.  If R/U is Cohen-Macaulay, then
@@ -38,7 +39,9 @@ closure.  Its preimage is (x) + U.
 
 U is hull(J, d)/J (`LocalRingContext.hull`), and R/U is Cohen-Macaulay
 iff one sop of R is R/U-regular; the answer does not depend on the sop,
-so `closure_target` tests it once per ring.
+so `cm_after_u` tests it once per ring.  The same target gives lengths with
+no chain: len R/(x)^lim = len R/((x) + U), and, as dim U < d, the
+multiplicity e(x; R) = e(x; R/U) = len R/((x) + U) (`structure`).
 """
 
 from __future__ import annotations
@@ -157,8 +160,12 @@ def limit_closure(seq, n_max=DEFAULT_N_MAX, window=2):
 
 
 def closure_colength(seq, n_max=DEFAULT_N_MAX):
-    """len R/(x)^lim for an m-primary sequence, read off the colength window
-    without building the closure; raises NotMPrimary otherwise."""
+    """len R/(x)^lim for an m-primary sequence: len R/((x) + U) where
+    `closure_target` applies, else read off the colength window without
+    building the closure; raises NotMPrimary otherwise."""
+    target = closure_target(seq)
+    if target is not None:
+        return local_length(target, seq.ctx)
     chain, stable_at = _colength_window(seq, n_max, 2)
     return chain[stable_at - 1]
 
@@ -174,6 +181,18 @@ def _regular_modulo(entries, U, ctx):
     return True
 
 
+def cm_after_u(sop):
+    """R/U is Cohen-Macaulay, tested on the sop once per ring: it is iff
+    the sop is R/U-regular.  When J has at most one generator no colon is
+    needed: U = 0 (`idealops.hull`), and R, which is K[x]_m or K[x]_m/(f),
+    is Cohen-Macaulay."""
+    ctx = sop.ctx
+    if ctx._cm_after_u is None:
+        ctx._cm_after_u = len(ctx.defining.gens) <= 1 or _regular_modulo(
+            sop.entries, ctx.hull(ctx.dim), ctx)
+    return ctx._cm_after_u
+
+
 def closure_target(seq):
     """(x) + U, an ambient ideal locally equal to (x)^lim, when d >= 1, seq
     is a sop and R/U is Cohen-Macaulay (the theorem above); None otherwise.
@@ -181,14 +200,9 @@ def closure_target(seq):
     power record, and the latter once per ring."""
     ctx = seq.ctx
     base = seq.base if seq.base is not None else seq
-    if ctx.dim < 1 or not is_sop(base):
+    if ctx.dim < 1 or not is_sop(base) or not cm_after_u(base):
         return None
-    U = ctx.hull(ctx.dim)
-    if ctx._cm_after_u is None:
-        ctx._cm_after_u = _regular_modulo(base.entries, U, ctx)
-    if not ctx._cm_after_u:
-        return None
-    return ideal_sum(seq.ideal(), U)
+    return ideal_sum(seq.ideal(), ctx.hull(ctx.dim))
 
 
 def limit_closure_mixed(head, head_power, tail, tail_power,

@@ -2,11 +2,12 @@
 variables: local membership, local comparison, local length, local
 dimension, system-of-parameters tests, m-power containment.
 
-Localization is never represented by fractions.  Every answer is read from
-the leading monomials of a standard basis of (I + J)*R for the local degree
-order ds, computed by Lazard's homogenization on the global Buchberger
-kernel (Greuel-Pfister, A Singular Introduction to Commutative Algebra,
-1.6-1.7).  Only the lead ideal is needed, so the kernel stops at the leads
+Localization is never represented by fractions.  Every answer but m-power
+containment, which one global basis decides (`contained_in_m_power`), is
+read from the leading monomials of a standard basis of (I + J)*R for the
+local degree order ds, computed by Lazard's homogenization on the global
+Buchberger kernel (Greuel-Pfister, A Singular Introduction to Commutative
+Algebra, 1.6-1.7).  Only the lead ideal is needed, so the kernel stops at the leads
 of a minimal basis (`groebner.lead_monomials`), which is never
 tail-reduced.  The length is the number of monomials outside the lead
 ideal, counted by slicing on exponents without listing them
@@ -56,7 +57,8 @@ class LocalRingContext:
         self._dim = None
         self._hulls = {}         # k -> hull(J, k), once each
         self._filtration = None  # structure.filtration_levels, once
-        self._cm_after_u = None  # limitclosure.closure_target: R/U is CM
+        self._unmixed = None     # is_unmixed, once
+        self._cm_after_u = None  # limitclosure.cm_after_u: R/U is CM, once
 
     # -- basic ring elements --------------------------------------------------
 
@@ -96,6 +98,15 @@ class LocalRingContext:
         if k not in self._hulls:
             self._hulls[k] = hull(self.defining, k)
         return self._hulls[k]
+
+    @property
+    def is_unmixed(self):
+        """U = hull(J, d)/J, the largest submodule of R of dimension < d,
+        is zero locally; tested once per ring."""
+        if self._unmixed is None:
+            self._unmixed = local_contains(self.hull(self.dim),
+                                           self.zero_ideal(), self)
+        return self._unmixed
 
 
 @dataclass
@@ -219,7 +230,10 @@ def is_sop(seq):
 
 
 def contained_in_m_power(I, k, ctx):
-    """I*R subset of m^k*R."""
+    """I*R subset of m^k*R.  J + m^k is m-primary, so it is the contraction
+    of its extension to R, and the test is that every generator of I lies
+    in J + m^k: one memoized global basis, no local one."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return local_contains(I, ctx.m_power(k), ctx)
+    mk = ctx.adjoin(ctx.m_power(k))
+    return all(mk.contains_poly(g) for g in I.gens)

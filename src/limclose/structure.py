@@ -11,6 +11,14 @@ ring and kept on its context with the annihilators J : D_i.  A good sop
 for them is built, not searched for (`dimension_filtration`).  The
 unmixed component stays on Theorem A, the paper's route, and the hull is
 its test oracle.
+
+Lengths come in closed form wherever a theorem gives them, from one local
+length each; the tables and windows remain where none applies:
+- where R/U is Cohen-Macaulay (`limitclosure.closure_target`), the
+  multiplicity of a sop x is len R/((x) + U), and the closure colengths of
+  `ij_functions` are len R/((x^[n]) + U);
+- where R itself is Cohen-Macaulay, the Hilbert-Samuel lengths of a
+  parameter ideal q are len(R/q) C(k + d - 1, d) (`hilbert_samuel`).
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, count
+from math import comb
 
 from .polycore import Polynomial
 from .idealops import (
@@ -25,10 +34,11 @@ from .idealops import (
 )
 from .localring import (
     LocalRingContext, SequenceInR, local_equal, local_contains, local_member,
-    local_length, local_dim, is_sop, contained_in_m_power, NotStabilized,
+    local_length, local_dim, is_sop, is_local_unit_ideal, contained_in_m_power,
+    NotStabilized,
 )
 from .limitclosure import (
-    limit_closure, closure_colength, closure_target, _stabilize,
+    limit_closure, closure_colength, closure_target, cm_after_u, _stabilize,
 )
 
 
@@ -234,9 +244,23 @@ def _candidates(sop, j, ann):
 def hilbert_samuel(q, ctx, K=8):
     """Lengths of R/q^k for k = 1..K, with the multiplicity read off the
     stable top finite difference.  Soft-fails (stabilized=False) when the
-    polynomial onset is not reached within K."""
-    lengths = [local_length(ideal_power(q, k), ctx) for k in range(1, K + 1)]
+    polynomial onset is not reached within K.
+
+    When R is Cohen-Macaulay and q is generated by a sop, the lengths are
+    len R/q^k = len(R/q) C(k + d - 1, d) and only len R/q is computed: a
+    sop of a Cohen-Macaulay local ring is a regular sequence, so gr_q(R) is
+    the polynomial ring (R/q)[T_1..T_d] (Matsumura, Commutative Ring
+    Theory, Thm 16.2), whose degree-j part has length
+    len(R/q) C(j + d - 1, d - 1); summing over j < k gives the closed form.
+    R is Cohen-Macaulay when U = 0 locally and R/U is.  Otherwise each
+    power's length is computed."""
     d = ctx.dim
+    if _generated_by_a_regular_sop(q, ctx):
+        ell = local_length(q, ctx)
+        lengths = [ell * comb(k + d - 1, d) for k in range(1, K + 1)]
+    else:
+        lengths = [local_length(ideal_power(q, k), ctx)
+                   for k in range(1, K + 1)]
     diffs = list(lengths)
     for _ in range(d):
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]
@@ -251,10 +275,30 @@ def hilbert_samuel(q, ctx, K=8):
     return HSReport(q, lengths, d, None, None, False)
 
 
+def _generated_by_a_regular_sop(q, ctx):
+    """R is Cohen-Macaulay and the generators of q, none a local unit, are
+    d elements forming a sop of R."""
+    if is_local_unit_ideal(q, ctx) or len(q.gens) != ctx.dim:
+        return False
+    seq = SequenceInR(q.gens, ctx)
+    return is_sop(seq) and ctx.is_unmixed and cm_after_u(seq)
+
+
 def multiplicity(seq, K=8):
-    """Samuel multiplicity of the parameter ideal generated by the sop."""
+    """Samuel multiplicity e(x; R) of the parameter ideal generated by the
+    sop x.
+
+    Where `closure_target` gives (x) + U, this is len R/((x) + U), whatever
+    K: multiplicity is additive on 0 -> U -> R -> R/U -> 0 and vanishes on
+    U, of dimension < d, so e(x; R) = e(x; R/U), and on the Cohen-Macaulay
+    R/U it is len (R/U)/(x) (Matsumura, Commutative Ring Theory,
+    Thm 17.11).  Otherwise it is read off `hilbert_samuel` with K powers
+    and raises NotStabilized when their top differences have not settled."""
     if not is_sop(seq):
         raise ValueError("sequence is not a system of parameters")
+    target = closure_target(seq)
+    if target is not None:
+        return local_length(target, seq.ctx)
     rep = hilbert_samuel(seq.ideal(), seq.ctx, K=K)
     if not rep.stabilized:
         raise NotStabilized("multiplicity onset not reached; raise K")
@@ -263,7 +307,12 @@ def multiplicity(seq, K=8):
 
 def ij_functions(seq, n_max=4, K=8):
     """Table of the two non-negative length differences:
-    I(n) = len(R/(x^[n])) - n^d e  and  J(n) = n^d e - len(R/(x^[n])^lim)."""
+    I(n) = len(R/(x^[n])) - n^d e  and  J(n) = n^d e - len(R/(x^[n])^lim).
+
+    Where `closure_target` applies, e and the closure colengths are
+    len R/((x) + U) and len R/((x^[n]) + U) (`multiplicity`,
+    `closure_colength`), and J(n) = 0 exactly, as
+    len R/((x^[n]) + U) = e(x^[n]; R/U) = n^d e."""
     ctx = seq.ctx
     d = ctx.dim
     e = multiplicity(seq, K=K)
@@ -312,11 +361,9 @@ def topology_scan(seq, n0=4, v_max=8):
         rows.append((k, found))
         if found is None and failure_k is None:
             failure_k = k
-            mk = ctx.m_power(k)
-            for g in closure_at(v_max).reduced_gens():
-                if not local_member(g, mk, ctx):
-                    witness = g
-                    break
+            witness = next((g for g in closure_at(v_max).reduced_gens()
+                            if not contained_in_m_power(
+                                Ideal(ctx.vars, [g]), k, ctx)), None)
     return TopologyScanReport(rows, failure_k is None, failure_k, witness)
 
 
@@ -333,7 +380,7 @@ def cyclic_cover_closure_check(ring_map, seq):
     error advising to pass to R/U first.
     """
     ctx = seq.ctx
-    if not local_contains(ctx.hull(ctx.dim), ctx.zero_ideal(), ctx):
+    if not ctx.is_unmixed:
         raise ValueError(
             "source ring is not unmixed; quotient by the unmixed "
             "component first")

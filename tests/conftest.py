@@ -1,5 +1,6 @@
 """Shared fixtures: the rings and parameter sequences every suite reuses."""
 
+import random
 import sys
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -13,7 +14,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from limclose import idealops
 from limclose.polycore import Polynomial
 from limclose.idealops import Ideal, ideal_intersect, RingMapPresentation, contract
-from limclose.localring import LocalRingContext, SequenceInR
+from limclose.localring import LocalRingContext, SequenceInR, is_sop
 
 
 def pytest_addoption(parser):
@@ -138,6 +139,16 @@ def three_level_ring():
                        {"x": x, "y": y, "z": z})
 
 
+@pytest.fixture(scope="session")
+def two_planes():
+    """Q[a,b,c,d]/((a,b) cap (c,d)): two planes meeting at the origin,
+    with the sop (a + c, b + d)."""
+    V = tuple("abcd")
+    a, b, c, d = (Polynomial.variable(n, V) for n in V)
+    ctx = LocalRingContext(V, Ideal(V, [a * c, a * d, b * c, b * d]))
+    return ctx, SequenceInR([a + c, b + d], ctx)
+
+
 def toric_presentation(src_names, exponents):
     """Defining ideal of the semigroup ring K[t^e : e in exponents] inside
     K[x, y], by eliminating x, y from the graph ideal."""
@@ -179,3 +190,69 @@ def veronese_pair():
     return RingFixture(ctxR, sop,
                        {"ctxS": ctxS, "map": inclusion,
                         "R_exps": R_exps, "S_exps": S_exps})
+
+
+@pytest.fixture(scope="session")
+def small_cm_rings():
+    """Cohen-Macaulay rings beside the named fixtures, each with a sop: the
+    cone Q[x,y,z]/(xy - z^2), the curves Q[x,y]/(x^2 y) and Q[x,y]/(x(1+y))
+    (the line x = 0 at the origin, its other component away from it), and
+    the complete intersection Q[x,y,z]/(xy, z^2 - xz), three lines."""
+    V2, (x, y) = _vars_polys("xy")
+    V3, (a, b, c) = _vars_polys("xyz")
+    one = Polynomial.constant(1, V2)
+    rings = {
+        "cone": (V3, [a * b - c ** 2], [a, b]),
+        "x2y": (V2, [x ** 2 * y], [x + y]),
+        "x(1+y)": (V2, [x * (one + y)], [y]),
+        "ci": (V3, [a * b, c ** 2 - a * c], [a + b]),
+    }
+    out = {}
+    for name, (V, relations, sop) in rings.items():
+        ctx = LocalRingContext(V, Ideal(V, relations))
+        out[name] = RingFixture(ctx, SequenceInR(sop, ctx), {})
+    return out
+
+
+def random_linear_sops(ctx, rng, k):
+    """k sops of random linear forms with coefficients in -2..2."""
+    gens = [Polynomial.variable(n, ctx.vars) for n in ctx.vars]
+    found = []
+    while len(found) < k:
+        seq = SequenceInR([sum((rng.randint(-2, 2) * g for g in gens),
+                               ctx.zero_poly()) for _ in range(ctx.dim)], ctx)
+        if not any(e.is_zero() for e in seq.entries) and is_sop(seq):
+            found.append(seq)
+    return found
+
+
+@pytest.fixture(scope="session")
+def random_sops():
+    """random_sops(ctx, rng, k): `random_linear_sops`."""
+    return random_linear_sops
+
+
+@pytest.fixture(scope="session")
+def length_cases(plane, space, split_ring, three_level_ring, catalan_ring,
+                 glued_ring, small_cm_rings):
+    """Sequences for the closed-form length tests, as two lists: on
+    Cohen-Macaulay rings, and on rings where only R/U is Cohen-Macaulay
+    (U != 0).  Each ring gives its sop and two seeded random linear sops,
+    at powers 1 and 2 on rings of at most three variables, and at power 1
+    on the four-variable rings, where the per-power length of the cube of
+    the ideal of one random square already takes seconds."""
+    rng = random.Random(20)
+
+    def seqs(ctx, sop):
+        powers = (1,) if len(ctx.vars) > 3 else (1, 2)
+        return [s.powers(p) for s in [sop] + random_linear_sops(ctx, rng, 2)
+                for p in powers]
+
+    glued_sop = SequenceInR(catalan_ring.sop.entries, glued_ring.ctx)
+    cm = seqs(glued_ring.ctx, glued_sop)
+    for fix in (plane, space, catalan_ring, *small_cm_rings.values()):
+        cm += seqs(fix.ctx, fix.sop)
+    mixed = []
+    for fix in (split_ring, three_level_ring):
+        mixed += seqs(fix.ctx, fix.sop)
+    return cm, mixed

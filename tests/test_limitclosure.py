@@ -21,16 +21,6 @@ from limclose.limitclosure import (
 )
 
 
-@pytest.fixture(scope="module")
-def two_planes():
-    """Q[a,b,c,d]/((a,b) cap (c,d)): two planes meeting at the origin,
-    with the sop (a + c, b + d)."""
-    V = tuple("abcd")
-    a, b, c, d = (Polynomial.variable(n, V) for n in V)
-    ctx = LocalRingContext(V, Ideal(V, [a * c, a * d, b * c, b * d]))
-    return ctx, SequenceInR([a + c, b + d], ctx)
-
-
 def test_colon_by_product_matches_expanded_colon(plane):
     x, y = plane.extras["x"], plane.extras["y"]
     I = Ideal(plane.ctx.vars, [x ** 3 * y, y ** 4])
@@ -401,21 +391,9 @@ def test_closure_lengths_on_quadric(catalan_ring):
 
 # -- exact closure targets ---------------------------------------------------
 
-def _random_linear_sops(ctx, rng, k):
-    """k sops of random linear forms with coefficients in -2..2."""
-    gens = [Polynomial.variable(n, ctx.vars) for n in ctx.vars]
-    found = []
-    while len(found) < k:
-        seq = SequenceInR([sum((rng.randint(-2, 2) * g for g in gens),
-                               ctx.zero_poly()) for _ in range(ctx.dim)], ctx)
-        if not any(e.is_zero() for e in seq.entries) and is_sop(seq):
-            found.append(seq)
-    return found
-
-
 def test_closure_target_is_the_closure(plane, space, split_ring,
                                        three_level_ring, catalan_ring,
-                                       glued_ring):
+                                       glued_ring, random_sops):
     # R/U is Cohen-Macaulay on every ring here, so the target is taken and
     # is locally the windowed closure.  The chains of random squares and
     # cubes on the two 4-variable rings take seconds to minutes, so there
@@ -423,12 +401,12 @@ def test_closure_target_is_the_closure(plane, space, split_ring,
     rng = random.Random(16)
     cases = []
     for fix in (plane, space, split_ring, three_level_ring):
-        for sop in [fix.sop] + _random_linear_sops(fix.ctx, rng, 2):
+        for sop in [fix.sop] + random_sops(fix.ctx, rng, 2):
             cases += [sop.powers(v) for v in (1, 2, 3)]
     for fix in (catalan_ring, glued_ring):
         sop = SequenceInR(catalan_ring.sop.entries, fix.ctx)    # (x+y, u, v)
         cases += [sop.powers(v) for v in (1, 2, 3)]
-        cases += _random_linear_sops(fix.ctx, rng, 2)
+        cases += random_sops(fix.ctx, rng, 2)
     indices = set()
     for seq in cases:
         target = closure_target(seq)
@@ -476,3 +454,67 @@ def test_hull_and_the_cm_test_run_once_per_ring(monkeypatch, split_ring,
     for seq in (pseq, pseq.powers(2), pseq):
         assert closure_target(seq) is None
     assert hulls == [2, 1, 2] and len(cm_tests) == 2
+
+
+@pytest.fixture
+def windows(monkeypatch):
+    """The sequences `closure_colength` runs the colength window on."""
+    seen = []
+    real = limitclosure._colength_window
+    monkeypatch.setattr(limitclosure, "_colength_window", lambda seq, *a: (
+        seen.append(seq) or real(seq, *a)))
+    return seen, real
+
+
+def test_closure_colength_of_a_target_matches_the_window(length_cases,
+                                                         windows):
+    # len R/((x) + U) against the colength window it replaces, on rings
+    # where R is Cohen-Macaulay and where only R/U is
+    seen, window = windows
+    cm, mixed = length_cases
+    for seq in cm + mixed:
+        got = closure_colength(seq)
+        assert seen == [], (seq.ctx.defining, seq.entries)
+        chain, idx = window(seq, 12, 2)
+        assert got == chain[idx - 1], (seq.ctx.defining, seq.entries)
+
+
+def test_closure_colength_falls_back_to_the_window(two_planes,
+                                                  veronese_pair, windows):
+    seen, _ = windows
+    assert closure_colength(two_planes[1]) == 1
+    assert closure_colength(veronese_pair.sop) == 3
+    assert seen == [two_planes[1], veronese_pair.sop]
+    assert monomial_property(two_planes[1])
+
+
+def test_principal_hull_matches_the_extension_contraction_loop(
+        catalan_ring, glued_ring, small_cm_rings):
+    # a redundant second generator 2 x f takes J = (f) through the loop
+    principal = [fix.ctx.defining for fix in (
+        catalan_ring, glued_ring, *small_cm_rings.values())
+        if len(fix.ctx.defining.gens) == 1]
+    for J in principal:
+        f = J.gens[0]
+        x = Polynomial.variable(J.vars[0], J.vars)
+        redundant = Ideal(J.vars, [f, 2 * x * f])
+        for k in range(1, len(J.vars) + 1):
+            assert ideals_equal(idealops.hull(J, k),
+                                idealops.hull(redundant, k)), (f, k)
+
+
+def test_cm_shortcut_matches_the_regular_sequence_test(
+        plane, space, catalan_ring, glued_ring, small_cm_rings):
+    # J with at most one generator: R/U is Cohen-Macaulay, and the sop is
+    # R/U-regular by the colon test the shortcut skips
+    cases = [(fix.ctx, fix.sop) for fix in
+             (plane, space, catalan_ring, *small_cm_rings.values())]
+    cases.append((glued_ring.ctx,
+                  SequenceInR(catalan_ring.sop.entries, glued_ring.ctx)))
+    for ctx, sop in cases:
+        if len(ctx.defining.gens) > 1:
+            continue
+        fresh = LocalRingContext(ctx.vars, ctx.defining)
+        assert limitclosure.cm_after_u(SequenceInR(sop.entries, fresh))
+        assert limitclosure._regular_modulo(sop.entries, ctx.hull(ctx.dim),
+                                            ctx), ctx.defining

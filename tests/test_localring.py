@@ -231,6 +231,21 @@ def test_contained_in_m_power(plane):
         contained_in_m_power(I, 0, ctx)
 
 
+def test_contained_in_m_power_matches_the_local_containment():
+    # the global test in J + m^k against the local basis of I + m^k it
+    # replaced, on seeded random rings with far components, unit factors
+    # and embedded points
+    rng = random.Random(20)
+    verdicts = set()
+    for _ in range(40):
+        ctx, I = _random_local_ring(rng)
+        for k in (1, 2, 3, 4):
+            got = contained_in_m_power(I, k, ctx)
+            assert got == local_contains(I, ctx.m_power(k), ctx), (I, k)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+
+
 def _random_local_ring(rng):
     """A small ring and ideal through the origin: non-homogeneous
     generators, sometimes a far factor (vanishing away from the origin),

@@ -3,10 +3,11 @@ sops, Hilbert-Samuel tables, the two length-difference functions, topology
 scans, and closure contraction along a finite extension."""
 
 import random
+from itertools import count
 
 import pytest
 
-from limclose import localring, structure
+from limclose import idealops, localring, structure
 from limclose.idealops import Ideal, ideal_intersect, hull
 from limclose.polycore import Polynomial
 from limclose.localring import (
@@ -19,7 +20,9 @@ from limclose.structure import (
     cyclic_cover_closure_check, _stabilized_closure_intersection,
 )
 
-from oracles import quotient_count, contracted_quotient_count
+from oracles import (
+    quotient_count, contracted_quotient_count, local_length_oracle,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -275,6 +278,121 @@ def test_multiplicity_rejects_non_sop(catalan_ring):
         multiplicity(catalan_ring.extras["yuv"])
 
 
+def _per_power_lengths(q, ctx, K):
+    """The route the closed form replaces: len R/q^k for k = 1..K."""
+    return [local_length(idealops.ideal_power(q, k), ctx)
+            for k in range(1, K + 1)]
+
+
+def _top_difference(lengths, d):
+    """The d-th difference of len R/q^k at k = 0, where the length is 0."""
+    diffs = [0] + list(lengths[:d])
+    for _ in range(d):
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return diffs[0]
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """Which length routes `structure` takes: the powers k of every
+    ideal_power call and every hilbert_samuel call, by K."""
+    taken = {"powers": [], "hs": []}
+    power, hs = structure.ideal_power, structure.hilbert_samuel
+    monkeypatch.setattr(structure, "ideal_power", lambda I, k: (
+        taken["powers"].append(k) or power(I, k)))
+    monkeypatch.setattr(structure, "hilbert_samuel", lambda q, ctx, K=8: (
+        taken["hs"].append(K) or hs(q, ctx, K)))
+    return taken
+
+
+def test_closed_form_hilbert_samuel_matches_the_per_power_lengths(
+        length_cases, routes):
+    # on a Cohen-Macaulay ring a parameter ideal takes the closed form,
+    # with no power built, and agrees with the length of every power
+    cm, _ = length_cases
+    for seq in cm:
+        q, ctx = seq.ideal(), seq.ctx
+        rep = hilbert_samuel(q, ctx, K=3)
+        assert routes["powers"] == [], (ctx.defining, seq.entries)
+        want = _per_power_lengths(q, ctx, 3)
+        assert rep.lengths == want, (ctx.defining, seq.entries)
+
+
+def test_multiplicity_matches_the_per_power_route(length_cases, routes):
+    # where closure_target applies, e = len R/((x) + U) with no
+    # Hilbert-Samuel table; on a Cohen-Macaulay ring it is the d-th
+    # difference of the per-power lengths, elsewhere the per-power table's
+    # multiplicity
+    cm, mixed = length_cases
+    for seqs, is_cm in ((cm, True), (mixed, False)):
+        for seq in seqs:
+            ctx = seq.ctx
+            e = multiplicity(seq)
+            assert routes["hs"] == [], (ctx.defining, seq.entries)
+            if is_cm:
+                lengths = _per_power_lengths(seq.ideal(), ctx, ctx.dim)
+                assert e == _top_difference(lengths, ctx.dim), seq.entries
+            else:
+                rep = hilbert_samuel(seq.ideal(), ctx, K=5)
+                assert rep.stabilized and e == rep.multiplicity, seq.entries
+
+
+def _oracle_length(ctx, q):
+    """len R/qR by the truncation oracle: the value at the first N that
+    equals the value at N + 1 (Nakayama, as in `local_length_oracle`)."""
+    gens = list(ctx.adjoin(q).gens)
+    prev = None
+    for N in count(1):
+        val = local_length_oracle(gens, N)
+        if val == prev:
+            return val
+        prev = val
+
+
+def test_closed_form_lengths_match_the_truncation_oracle(
+        plane, space, catalan_ring, small_cm_rings, routes):
+    cases = [plane, space, catalan_ring, *small_cm_rings.values()]
+    for fix in cases:
+        q, ctx = fix.sop.ideal(), fix.ctx
+        lengths = hilbert_samuel(q, ctx, K=3).lengths
+        assert routes["powers"] == []
+        assert lengths == [_oracle_length(ctx, idealops.ideal_power(q, k))
+                           for k in (1, 2, 3)], ctx.defining
+
+
+def test_hilbert_samuel_falls_back_where_r_is_not_cohen_macaulay(
+        split_ring, three_level_ring, two_planes, veronese_pair, routes):
+    # U != 0 on the split and three-level rings; on two planes and the
+    # Veronese R, U = 0 but R is not Cohen-Macaulay
+    cases = [(split_ring.ctx, split_ring.sop),
+             (three_level_ring.ctx, three_level_ring.sop),
+             two_planes, (veronese_pair.ctx, veronese_pair.sop)]
+    for ctx, sop in cases:
+        rep = hilbert_samuel(sop.ideal(), ctx, K=4)
+        assert routes["powers"] == [1, 2, 3, 4], ctx.defining
+        assert rep.lengths == _per_power_lengths(sop.ideal(), ctx, 4)
+        routes["powers"].clear()
+
+
+def test_multiplicity_falls_back_where_there_is_no_target(
+        two_planes, veronese_pair, routes):
+    # R/U is not Cohen-Macaulay: e is read off the Hilbert-Samuel table
+    ctx, seq = two_planes
+    assert multiplicity(seq) == 2 and routes["hs"] == [8]
+    assert multiplicity(veronese_pair.sop, K=6) == 4
+    assert routes["hs"] == [8, 6]
+
+
+def test_multiplicity_does_not_depend_on_k(catalan_ring, two_planes):
+    # the quadric's multiplicity needs no table, so no K is too short; two
+    # planes have no target, and two lengths show no second difference
+    x, y, u, v = (catalan_ring.extras[k] for k in "xyuv")
+    assert multiplicity(SequenceInR([x + y, u, v], catalan_ring.ctx),
+                        K=2) == 2
+    with pytest.raises(NotStabilized):
+        multiplicity(two_planes[1], K=2)
+
+
 # -- length difference functions I and J --------------------------------------
 
 def test_ij_functions_regular_vanish(plane):
@@ -304,6 +422,16 @@ def test_ij_functions_quadric_vanish(catalan_ring):
         assert ln == lclo == 2 * n ** 3
 
 
+def test_ij_functions_vanishing_j_where_there_is_a_target(split_ring,
+                                                        two_planes):
+    # J(n) = 0 exactly where closure_target applies; on two planes, with
+    # no target, the window finds J(1) = 2 - 1
+    tab = ij_functions(split_ring.sop.powers(2), n_max=2)
+    assert [r[5] for r in tab.rows] == [0, 0]
+    tab = ij_functions(two_planes[1], n_max=1)
+    assert tab.rows == [(1, 3, 2, 1, 1, 1)]
+
+
 def test_ij_functions_nonnegative_and_increasing(split_ring,
                                                  three_level_ring):
     for fix in (split_ring, three_level_ring):
@@ -330,6 +458,34 @@ def test_topology_scan_quadric_succeeds(catalan_ring):
     vs = [v for _, v in rep.rows]
     assert all(v is not None for v in vs)
     assert all(a <= b for a, b in zip(vs, vs[1:]))
+
+
+def test_closed_form_hilbert_samuel_cost_does_not_grow_with_k(
+        uncached, monkeypatch, catalan_ring):
+    # two Lazard runs on a fresh context and an empty cache, whatever K:
+    # the dimension and len R/q; the principal J needs no hull loop and no
+    # colon
+    runs = []
+    real = localring.lead_monomials
+    monkeypatch.setattr(localring, "lead_monomials", lambda gens, order: (
+        runs.append(len(gens)) or real(gens, order)))
+    counts = []
+    for K in (5, 8):
+        ctx = LocalRingContext(catalan_ring.ctx.vars,
+                               catalan_ring.ctx.defining)
+        runs.clear()
+        rep = uncached(hilbert_samuel, catalan_ring.sop.ideal(), ctx, K)
+        assert rep.multiplicity == 2
+        counts.append(len(runs))
+    assert counts == [2, 2]
+
+
+def test_ij_functions_builds_no_ideal_power(uncached, catalan_ring, routes):
+    ctx = LocalRingContext(catalan_ring.ctx.vars, catalan_ring.ctx.defining)
+    sop = SequenceInR(catalan_ring.sop.entries, ctx)
+    tab = uncached(ij_functions, sop, 4)
+    assert [r[3] for r in tab.rows] == [2 * n ** 3 for n in (1, 2, 3, 4)]
+    assert routes["powers"] == [] and routes["hs"] == []
 
 
 def test_topology_scan_split_ring_fails_at_two(split_ring):
