@@ -58,6 +58,7 @@ class SessionRunError(RuntimeError):
 # tokenizer
 # ---------------------------------------------------------------------------
 
+_DIGITS = "0123456789"
 _SYMBOLS = ("->", "(", ")", "[", "]", ",", ";", "=", "/", "^", "*", "+", "-")
 
 
@@ -96,9 +97,9 @@ def _tokenize(text):
             col += j - i
             i = j
             continue
-        if c.isdigit():
+        if c in _DIGITS:        # ASCII only: str.isdigit takes '²'
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             toks.append(_Token("int", text[i:j], line, col))
             col += j - i
@@ -293,9 +294,11 @@ class _Parser:
         self.expect("[")
         images = []
         while True:
-            v = self.expect_name().value
+            tok = self.expect_name()
+            if tok.value in dict(images):
+                self.err(f"duplicate image for {tok.value!r}", tok)
             self.expect("->")
-            images.append((v, self.expr()))
+            images.append((tok.value, self.expr()))
             if self.peek().value != ",":
                 break
             self.next()

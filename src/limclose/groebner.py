@@ -1,5 +1,5 @@
 """Buchberger's algorithm, multivariate division with cofactor tracking,
-reduced canonical bases, ideal membership and equality.
+reduced canonical bases, ideal membership.
 
 Inside the kernel a monomial is two ints (Monagan & Pearce 2011, "Sparse
 polynomial division using a heap").  The packed exponent vector holds one
@@ -12,8 +12,10 @@ exponents.  A run packs its inputs once and unpacks only the reduced basis
 it returns, or with `lead_monomials` only the leads of a minimal basis,
 which it never tail-reduces; a field that would overflow restarts the run
 with wider fields.  Every basis element is kept integer-primitive, its
-cofactor row scaled alike, so division never meets a fraction.  Membership, with or
-without a certificate, is one `normal_form` by the basis.
+cofactor row scaled alike, so division never meets a fraction.  One
+driver, `normal_form`, divides: membership, with or without a
+certificate, is one normal form by the basis, and an exact quotient one
+normal form by the divisor.
 
 Determinism: the division heap pops terms by descending int key, and
 divisors are tried in list order.  Each new basis element passes through
@@ -51,14 +53,6 @@ class GroebnerBasis:
     order: MonomialOrder
     # rows expressing each generator over the original input generators
     origin_cofactors: list | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        self._leads = None
-
-    def leads(self):
-        if self._leads is None:
-            self._leads = [g.lead(self.order)[0] for g in self.generators]
-        return self._leads
 
 
 class _Overflow(Exception):
@@ -283,27 +277,15 @@ def normal_form(f, divisors, order, track=False):
 
 
 def exact_quotients(polys, g, order):
-    """[p / g for p in polys] for a non-zero g that divides every p, with g
-    packed once for the whole list; raises ValueError on a remainder."""
-    vars = g.vars
-
-    def run(bits):
-        packing = _packing(order, len(vars), bits)
-        terms, rg = packing.pack(g)
-        divisor = [_reducer(terms)]
-        out = []
-        for p in polys:
-            work, r = packing.pack(p)
-            red = _tracking(divisor)[0]
-            rem, scale = _divide(packing.guard, work, [red])
-            if rem:
-                raise ValueError("not exactly divisible")
-            ratio = _ratio(rg, scale * r)
-            out.append(Polynomial(vars, {packing.unpack(m): c * ratio
-                                         for m, c in red[4].items()}))
-        return out
-
-    return _widening(_bits([g] + list(polys)), run)
+    """[p / g for p in polys] for a non-zero g that divides every p;
+    raises ValueError on a remainder."""
+    out = []
+    for p in polys:
+        nf = normal_form(p, [g], order, track=True)
+        if not nf.remainder.is_zero():
+            raise ValueError("not exactly divisible")
+        out.append(nf.coefficients[0])
+    return out
 
 
 def _row_sum(parts, width, guard, content):
@@ -344,8 +326,8 @@ def buchberger(gens, order=GREVLEX, track=False):
 
 def lead_monomials(gens, order=GREVLEX):
     """The leading monomials of the reduced basis of (gens), ascending:
-    `tuple(buchberger(gens, order).leads())`.  A minimal basis has the same
-    leads, so they are read from the pair loop's packed basis, which is
+    those of `buchberger(gens, order).generators`.  A minimal basis has the
+    same leads, so they are read from the pair loop's packed basis, which is
     neither tail-reduced nor unpacked."""
     gens = list(gens)
     if all(g.is_zero() for g in gens):
@@ -551,9 +533,3 @@ def ideal_member(f, gb):
             coefficients = [a + q * r for a, r in zip(coefficients, row)]
     return True, Cofactors(nf.remainder, coefficients)
 
-
-def ideal_equal(gb1, gb2):
-    """Equality of the generated ideals via reduced-basis identity."""
-    if gb1.order != gb2.order:
-        raise ValueError("order mismatch")
-    return [g.terms for g in gb1.generators] == [g.terms for g in gb2.generators]

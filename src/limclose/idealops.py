@@ -1,7 +1,7 @@
 """Ideal-level algebra over the ambient polynomial ring: sum, power,
-intersection, colon, saturation, elimination, contraction along ring maps,
-dimensions and standard monomials, listed or counted, of monomial
-(lead-term) ideals.
+equality, intersection, colon, saturation, elimination, contraction along
+ring maps, and the dimension and number of standard monomials of a
+monomial (lead-term) ideal.
 """
 
 from __future__ import annotations
@@ -10,9 +10,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 
-from .polycore import Polynomial, MonomialOrder, GREVLEX, VariableMismatch, \
-    mono_divides
-from .groebner import buchberger, exact_quotients, ideal_member, ideal_equal
+from .polycore import Polynomial, MonomialOrder, GREVLEX, VariableMismatch
+from .groebner import buchberger, exact_quotients, ideal_member
 
 
 class AmbientMismatch(ValueError):
@@ -218,9 +217,11 @@ def ideal_colon_ideal(I, J):
     return out
 
 
-def ideals_equal(I, J, order=GREVLEX):
+def ideals_equal(I, J):
+    """Equality of the ideals: their reduced bases, unique, are equal."""
     _check_same_ambient(I, J)
-    return ideal_equal(I.groebner(order), J.groebner(order))
+    return ([g.terms for g in I.reduced_gens()]
+            == [g.terms for g in J.reduced_gens()])
 
 
 def ideal_saturate(I, g):
@@ -388,51 +389,11 @@ def _supported_in(m, sset):
     return all(e == 0 or i in sset for i, e in enumerate(m))
 
 
-def standard_monomials(I, order=GREVLEX, leads=None):
-    """Monomials outside the lead-term ideal (of I under order, or spanned
-    by `leads`); raises unless the quotient is a finite-dimensional vector
-    space.  Lengths are counted by `count_standard_monomials`; this listing
-    is its reference."""
-    if leads is None:
-        leads = I.groebner(order).leads()
-    nvars = len(I.vars)
-    caps = [None] * nvars
-    for m in leads:
-        nz = [i for i, e in enumerate(m) if e]
-        if len(nz) == 1:
-            i = nz[0]
-            if caps[i] is None or m[i] < caps[i]:
-                caps[i] = m[i]
-    if any(c is None for c in caps):
-        if any(not any(m) for m in leads):
-            return []  # unit ideal
-        raise NotZeroDimensional("lead ideal lacks a pure power of some variable")
-    out = []
-    mono = [0] * nvars
-
-    def rec(i):
-        # the standard monomials are closed under division: once a prefix
-        # (zeros after it) lies in the lead ideal, so do all larger ones
-        for e in range(caps[i]):
-            mono[i] = e
-            t = tuple(mono)
-            if any(mono_divides(m, t) for m in leads):
-                break
-            if i + 1 == nvars:
-                out.append(t)
-            else:
-                rec(i + 1)
-        mono[i] = 0
-
-    rec(0)
-    return out
-
-
 def count_standard_monomials(leads, nvars):
-    """len(standard_monomials(I, leads=leads)) for exponent tuples `leads`
-    over nvars variables, minimal or not, without listing: 0 when some lead
-    is the unit monomial; raises NotZeroDimensional unless some lead is a
-    pure power of every variable."""
+    """The number of monomials over nvars variables that no exponent tuple
+    in `leads`, minimal or not, divides, counted without listing them: 0
+    when some lead is the unit monomial; raises NotZeroDimensional unless
+    some lead is a pure power of every variable."""
     powers = set()
     for m in leads:
         support = [i for i, e in enumerate(m) if e]

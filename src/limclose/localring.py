@@ -2,13 +2,14 @@
 variables: local membership, local comparison, local length, local
 dimension, system-of-parameters tests, m-power containment.
 
-Localization is never represented by fractions.  Every answer but m-power
-containment, which one global basis decides (`contained_in_m_power`), is
-read from the leading monomials of a standard basis of (I + J)*R for the
-local degree order ds, computed by Lazard's homogenization on the global
+Localization is never represented by fractions.  One global basis of
+J + m^k, with m^k the `ideal_power` of the variables, decides m-power
+containment (`contained_in_m_power`).  Every other answer is read from
+the leading monomials of a standard basis of (I + J)*R for the local
+degree order ds, computed by Lazard's homogenization on the global
 Buchberger kernel (Greuel-Pfister, A Singular Introduction to Commutative
-Algebra, 1.6-1.7).  Only the lead ideal is needed, so the kernel stops at the leads
-of a minimal basis (`groebner.lead_monomials`), which is never
+Algebra, 1.6-1.7).  Only the lead ideal is needed, so the kernel stops at
+the leads of a minimal basis (`groebner.lead_monomials`), which is never
 tail-reduced.  The length is the number of monomials outside the lead
 ideal, counted by slicing on exponents without listing them
 (`idealops.count_standard_monomials`); the dimension is that of the lead
@@ -20,13 +21,12 @@ that of I2*R.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 from .polycore import Polynomial, MonomialOrder, mono_divides
 from .groebner import lead_monomials
 from .idealops import (
-    Ideal, ideal_sum, count_standard_monomials, hull, _fresh_tag_var,
-    _memoized, _lead_dim, NotZeroDimensional, AmbientMismatch,
+    Ideal, ideal_sum, ideal_power, count_standard_monomials, hull,
+    _fresh_tag_var, _memoized, _lead_dim, NotZeroDimensional, AmbientMismatch,
 )
 
 
@@ -56,6 +56,7 @@ class LocalRingContext:
                     "defining ideal has a unit at the origin; localization is zero")
         self._dim = None
         self._hulls = {}         # k -> hull(J, k), once each
+        self._m_powers = {}      # k -> m^k, once each
         self._filtration = None  # structure.filtration_levels, once
         self._unmixed = None     # is_unmixed, once
         self._cm_after_u = None  # limitclosure.cm_after_u: R/U is CM, once
@@ -72,15 +73,13 @@ class LocalRingContext:
         return Ideal(self.vars, [])
 
     def m_power(self, k):
-        """m^k, generated by all degree-k monomials."""
-        n = len(self.vars)
-        gens = []
-        for combo in combinations_with_replacement(range(n), k):
-            e = [0] * n
-            for i in combo:
-                e[i] += 1
-            gens.append(Polynomial.monomial(tuple(e), self.vars))
-        return Ideal(self.vars, gens)
+        """m^k, the k-th power of the ideal of the variables, built once
+        per k."""
+        if k not in self._m_powers:
+            m = Ideal(self.vars, [Polynomial.variable(v, self.vars)
+                                  for v in self.vars])
+            self._m_powers[k] = ideal_power(m, k)
+        return self._m_powers[k]
 
     def adjoin(self, I):
         """I + J in the ambient ring."""

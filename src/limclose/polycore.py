@@ -2,6 +2,9 @@
 
 Coefficients are exact rationals (python ints, promoted to Fraction on
 division).  Monomials are plain exponent tuples, one slot per ring variable.
+A monomial order is defined once, by its integer weight rows: the tuple
+key here and the packed int key of the Buchberger kernel are both read
+from them.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 from numbers import Rational
-from operator import le
+from operator import le, mul
 
 
 class VariableMismatch(ValueError):
@@ -35,7 +38,9 @@ def mono_degree(a):
 
 
 class MonomialOrder:
-    """Total, multiplicative well-order on exponent tuples.
+    """Total, multiplicative well-order on exponent tuples, defined by its
+    integer weight rows (`rows`): a monomial's key is the tuple of its
+    row products, compared lexicographically.
 
     kind is one of 'lex', 'grevlex', 'block', 'lazard'.  A block order
     compares the first `elim` variables by grevlex, then the rest by
@@ -75,52 +80,32 @@ class MonomialOrder:
     def lazard(cls):
         return cls("lazard")
 
-    def _apply_perm(self, exps):
-        if self.perm is None:
-            return exps
-        out = [0] * len(exps)
-        for i, p in enumerate(self.perm):
-            out[p] = exps[i]
-        return tuple(out)
-
-    @staticmethod
-    def _grevlex_key(exps):
-        return (sum(exps), tuple(-e for e in reversed(exps)))
-
     def key(self, exps):
         """Sort key; ascending key order is ascending monomial order."""
-        exps = self._apply_perm(exps)
-        if self.kind == "lex":
-            return exps
-        if self.kind == "grevlex":
-            return self._grevlex_key(exps)
-        if self.kind == "lazard":
-            return (sum(exps), exps[-1], self._grevlex_key(exps[:-1]))
-        head, tail = exps[: self.elim], exps[self.elim:]
-        return (self._grevlex_key(head), self._grevlex_key(tail))
+        return tuple(sum(map(mul, r, exps)) for r in self.rows(len(exps)))
 
+    @lru_cache(maxsize=None)
     def rows(self, n):
-        """Integer weight rows over n variables: comparing the tuples of
-        row . exps lexicographically compares like `key`, and the rows have
-        full rank, so the tuple determines the monomial."""
+        """Integer weight rows over n variables, of full rank, so the tuple
+        of row . exps determines the monomial; computed once per n."""
         def unit(i, sign=1):
-            return [sign * (j == i) for j in range(n)]
+            return tuple(sign * (j == i) for j in range(n))
 
         def grevlex(lo, hi):
-            return ([[int(lo <= j < hi) for j in range(n)]]
-                    + [unit(i, -1) for i in reversed(range(lo, hi))])
+            return ((tuple(int(lo <= j < hi) for j in range(n)),)
+                    + tuple(unit(i, -1) for i in reversed(range(lo, hi))))
 
         if self.kind == "lex":
-            rows = [unit(i) for i in range(n)]
+            rows = tuple(unit(i) for i in range(n))
         elif self.kind == "grevlex":
             rows = grevlex(0, n)
         elif self.kind == "lazard":
-            rows = [[1] * n, unit(n - 1)] + grevlex(0, n - 1)
+            rows = ((1,) * n, unit(n - 1)) + grevlex(0, n - 1)
         else:
             head = min(self.elim, n)
             rows = grevlex(0, head) + grevlex(head, n)
         if self.perm is not None:
-            rows = [[r[p] for p in self.perm] for r in rows]
+            rows = tuple(tuple(r[p] for p in self.perm) for r in rows)
         return rows
 
     def __eq__(self, other):
@@ -188,10 +173,6 @@ class Polynomial:
         i = vars.index(name)
         exps = tuple(1 if j == i else 0 for j in range(len(vars)))
         return cls(vars, {exps: 1})
-
-    @classmethod
-    def monomial(cls, exps, vars, coeff=1):
-        return cls(vars, {tuple(exps): coeff})
 
     # -- predicates / accessors ---------------------------------------------
 

@@ -252,15 +252,15 @@ def hilbert_samuel(q, ctx, K=8):
     the polynomial ring (R/q)[T_1..T_d] (Matsumura, Commutative Ring
     Theory, Thm 16.2), whose degree-j part has length
     len(R/q) C(j + d - 1, d - 1); summing over j < k gives the closed form.
-    R is Cohen-Macaulay when U = 0 locally and R/U is.  Otherwise each
-    power's length is computed."""
+    Its d-th differences are len R/q from k = 1 on, so that is e, with
+    onset 1, for every K >= 1.  R is Cohen-Macaulay when U = 0 locally and
+    R/U is.  Otherwise each power's length is computed."""
     d = ctx.dim
     if _generated_by_a_regular_sop(q, ctx):
         ell = local_length(q, ctx)
         lengths = [ell * comb(k + d - 1, d) for k in range(1, K + 1)]
-    else:
-        lengths = [local_length(ideal_power(q, k), ctx)
-                   for k in range(1, K + 1)]
+        return HSReport(q, lengths, d, ell, 1, True)
+    lengths = [local_length(ideal_power(q, k), ctx) for k in range(1, K + 1)]
     diffs = list(lengths)
     for _ in range(d):
         diffs = [b - a for a, b in zip(diffs, diffs[1:])]

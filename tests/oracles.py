@@ -1,22 +1,88 @@
 """Independent brute-force oracles used to cross-check the kernel.
 
 Everything here is deliberately dumb: degree-bounded exact linear algebra
-over the rationals, and lattice-point counting for semigroup rings.  No
+over the rationals, listings of standard monomials, monomial orders as
+nested tuple keys, and lattice-point counting for semigroup rings.  No
 code is shared with the library under test beyond the Polynomial
-container.
+container, except that `standard_monomials` may read its lead ideal off a
+reduced basis.
 """
 
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
-from limclose.polycore import Polynomial
+from limclose.idealops import NotZeroDimensional
+from limclose.polycore import Polynomial, GREVLEX
 
 
 def term_mul(p, exps, coeff):
     """p times the single term coeff * x^exps."""
     return Polynomial(p.vars, {tuple(a + b for a, b in zip(e, exps)):
                                c * coeff for e, c in p.terms.items()})
+
+
+def _grevlex_key(exps):
+    return (sum(exps), tuple(-e for e in reversed(exps)))
+
+
+def order_key(order, exps):
+    """Reference sort key of a MonomialOrder, read from its kind, block
+    size and permutation as nested tuples, not from its weight rows:
+    ascending key order is ascending monomial order."""
+    if order.perm is not None:
+        out = [0] * len(exps)
+        for i, p in enumerate(order.perm):
+            out[p] = exps[i]
+        exps = tuple(out)
+    if order.kind == "lex":
+        return exps
+    if order.kind == "grevlex":
+        return _grevlex_key(exps)
+    if order.kind == "lazard":
+        return (sum(exps), exps[-1], _grevlex_key(exps[:-1]))
+    head, tail = exps[:order.elim], exps[order.elim:]
+    return (_grevlex_key(head), _grevlex_key(tail))
+
+
+def standard_monomials(I, order=GREVLEX, leads=None):
+    """Monomials outside the lead-term ideal (of I's reduced basis under
+    order, or spanned by `leads`), listed; raises NotZeroDimensional unless
+    the quotient is a finite-dimensional vector space.  The reference for
+    `idealops.count_standard_monomials`."""
+    if leads is None:
+        leads = [g.lead(order)[0] for g in I.reduced_gens(order)]
+    nvars = len(I.vars)
+    caps = [None] * nvars
+    for m in leads:
+        nz = [i for i, e in enumerate(m) if e]
+        if len(nz) == 1:
+            i = nz[0]
+            if caps[i] is None or m[i] < caps[i]:
+                caps[i] = m[i]
+    if any(c is None for c in caps):
+        if any(not any(m) for m in leads):
+            return []  # unit ideal
+        raise NotZeroDimensional("lead ideal lacks a pure power of some variable")
+    out = []
+    mono = [0] * nvars
+
+    def rec(i):
+        # the standard monomials are closed under division: once a prefix
+        # (zeros after it) lies in the lead ideal, so do all larger ones
+        for e in range(caps[i]):
+            mono[i] = e
+            t = tuple(mono)
+            if any(all(a <= b for a, b in zip(m, t)) for m in leads):
+                break
+            if i + 1 == nvars:
+                out.append(t)
+            else:
+                rec(i + 1)
+        mono[i] = 0
+
+    rec(0)
+    return out
 
 
 def monomials_up_to(nvars, max_deg):

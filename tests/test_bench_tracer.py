@@ -53,7 +53,8 @@ def test_tracer_runs_over_the_kernel():
 
 # Tracer names whose function is gone, to be dropped at the next change of
 # the benchmark: until then their metrics read 0.
-RETIRED = {"localring.truncated_quotient_dim", "groebner.reduce_basis"}
+RETIRED = {"localring.truncated_quotient_dim", "groebner.reduce_basis",
+           "idealops.standard_monomials"}
 
 
 def test_every_timed_name_resolves():

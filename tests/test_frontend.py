@@ -48,6 +48,10 @@ def test_parse_basic_session():
     ("ring P = RR[x] / (0);", "unknown coefficient field", 1, 10),
     ("ring P = QQ[x, x] / (0);", "duplicate variable", 1, 1),
     ("seq S = [x]", "expected ';'", 1, 12),
+    ("show catalan-demo(\u00b2);", "unexpected character", 1, 19),
+    ("ring P = QQ[x] / (x^\u00b2);", "unexpected character", 1, 21),
+    ("map phi = B -> P [ s -> x, s -> y, t -> y ];", "duplicate image for 's'",
+     1, 28),
 ])
 def test_parse_errors_carry_line_and_column(text, fragment, line, col):
     with pytest.raises(SessionParseError) as exc:

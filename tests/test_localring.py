@@ -271,8 +271,8 @@ def _random_local_ring(rng):
         shared = Polynomial.variable(V[0], V) + Polynomial.variable(V[1], V) ** 2
         gens = [g * shared for g in gens]
     elif roll < 0.3:
-        gens.append(Polynomial.monomial(
-            tuple(rng.randint(0, 2) for _ in V), V))        # embedded point
+        gens.append(Polynomial(
+            V, {tuple(rng.randint(0, 2) for _ in V): 1}))   # embedded point
     J = []
     if rng.random() < 0.3:
         j = rand_poly(rng, V, max_deg=3)

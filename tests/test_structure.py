@@ -306,9 +306,10 @@ def routes(monkeypatch):
 
 
 def test_closed_form_hilbert_samuel_matches_the_per_power_lengths(
-        length_cases, routes):
+        length_cases, catalan_ring, routes):
     # on a Cohen-Macaulay ring a parameter ideal takes the closed form,
-    # with no power built, and agrees with the length of every power
+    # with no power built, and agrees with the length of every power; it
+    # reports e = len R/q with onset 1 even when K <= d + 1
     cm, _ = length_cases
     for seq in cm:
         q, ctx = seq.ideal(), seq.ctx
@@ -316,6 +317,10 @@ def test_closed_form_hilbert_samuel_matches_the_per_power_lengths(
         assert routes["powers"] == [], (ctx.defining, seq.entries)
         want = _per_power_lengths(q, ctx, 3)
         assert rep.lengths == want, (ctx.defining, seq.entries)
+        assert (rep.multiplicity, rep.polynomial_onset, rep.stabilized) == \
+            (want[0], 1, True), (ctx.defining, seq.entries)
+    rep = hilbert_samuel(catalan_ring.sop.ideal(), catalan_ring.ctx, K=3)
+    assert (rep.lengths, rep.multiplicity) == ([2, 8, 20], 2)
 
 
 def test_multiplicity_matches_the_per_power_route(length_cases, routes):
