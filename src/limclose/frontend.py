@@ -7,8 +7,9 @@ Grammar (LL(1)):
     ideal-decl:= "ideal" NAME "=" "(" exprs ")" ";"
     map-decl  := "map" NAME "=" NAME "->" NAME "[" NAME "->" expr, ... "]" ";"
     show-stmt := "show" COMMAND "(" args ")" ";"
-with infix polynomials over ^ * + - and integer literals; comments run
-from '#' to end of line.
+with infix polynomials over ^ * + - and integer literals; a NAME is ASCII,
+[A-Za-z_][A-Za-z0-9_]*, and an integer ASCII digits; comments run from '#'
+to end of line.
 """
 
 from __future__ import annotations
@@ -59,6 +60,9 @@ class SessionRunError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 _DIGITS = "0123456789"
+# names are ASCII only: str.isalpha takes 'é', str.isalnum '²'
+_NAME_START = frozenset("_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_NAME_CHARS = _NAME_START | frozenset(_DIGITS)
 _SYMBOLS = ("->", "(", ")", "[", "]", ",", ";", "=", "/", "^", "*", "+", "-")
 
 
@@ -89,9 +93,9 @@ def _tokenize(text):
             while i < n and text[i] != "\n":
                 i += 1
             continue
-        if c.isalpha() or c == "_":
+        if c in _NAME_START:
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and text[j] in _NAME_CHARS:
                 j += 1
             toks.append(_Token("name", text[i:j], line, col))
             col += j - i

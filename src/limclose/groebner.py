@@ -1,27 +1,30 @@
 """Buchberger's algorithm, multivariate division with cofactor tracking,
 reduced canonical bases, ideal membership.
 
-Inside the kernel a monomial is two ints (Monagan & Pearce 2011, "Sparse
-polynomial division using a heap").  The packed exponent vector holds one
-bit field per variable, and the top bit of each field is a guard bit that
-stays clear: a product is a sum, a quotient a difference, and a | b exactly
-when b - a sets no guard bit.  The order key folds the order's integer
-weight rows (`MonomialOrder.rows`) into one int with a radix wider than any
-row value, so keys compare like `MonomialOrder.key` and add like the
-exponents.  A run packs its inputs once and unpacks only the reduced basis
-it returns, or with `lead_monomials` only the leads of a minimal basis,
-which it never tail-reduces; a field that would overflow restarts the run
-with wider fields.  Every basis element is kept integer-primitive, its
-cofactor row scaled alike, so division never meets a fraction.  One
-driver, `normal_form`, divides: membership, with or without a
-certificate, is one normal form by the basis, and an exact quotient one
-normal form by the divisor.
+Inside the kernel a monomial is one int (Monagan & Pearce 2011, "Sparse
+polynomial division using a heap"), its order key above its exponents.
+The low bits hold one field per variable, and the top bit of each field is
+a guard bit that stays clear: a | b exactly when b - a sets no guard bit in
+the low bits.  The order key folds the order's integer weight rows
+(`MonomialOrder.rows`) into one int with a radix wider than any row value,
+so keys compare like `MonomialOrder.key`; keys and exponents both add
+under a product, so the fused ints do too, and compare like the key, which
+tells monomials apart.  A polynomial is packed once per packing (the
+`Polynomial` keeps the result); a run unpacks only the reduced basis it
+returns, or with `lead_monomials` only the leads of a minimal basis, which
+it never tail-reduces; a field that would overflow restarts the run with
+wider fields.  Every basis element is kept integer-primitive, its cofactor
+row scaled alike, so division never meets a fraction.  One driver,
+`normal_form`, divides: membership, with or without a certificate, is one
+normal form by the basis, and an exact quotient one normal form by the
+divisor.
 
-Determinism: the division heap pops terms by descending int key, and
-divisors are tried in list order.  Each new basis element passes through
-one Gebauer-Moeller update, which decides once which of its pairs are
-queued and which queued pairs are dropped; the queued S-pairs are then
-processed by minimal lcm degree, ties broken by pair indices.  A heap entry
+Determinism: the division heap pops terms by descending int, that is by
+descending order key, and divisors are tried in list order.  Each new
+basis element passes through one Gebauer-Moeller update, which decides
+once which of its pairs are queued and which queued pairs are dropped; the
+queued S-pairs are then processed by minimal lcm degree, ties broken by
+pair indices.  A heap entry
 is unique per pair, so purging the dropped entries from the heap cannot
 change which pair is processed next.  Field width changes neither choice,
 so a widened run gives the same basis.
@@ -33,9 +36,8 @@ import heapq
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
 from math import gcd, lcm
-from operator import itemgetter, mul
+from operator import mul
 
 from .polycore import Polynomial, MonomialOrder, GREVLEX
 
@@ -60,40 +62,58 @@ class _Overflow(Exception):
 
 
 class _Packing:
-    """Monomials over n variables as (packed exponents, order key) ints."""
+    """Monomials over n variables as ints (key << width) + exponents; the
+    exponent ints alone, the low `width` bits, serve the pair update."""
 
     def __init__(self, order, n, bits):
         self.bits = bits
-        self.shifts = range(0, n * bits, bits)
+        self.width = n * bits
+        self.shifts = range(0, self.width, bits)
         cap = 1 << (bits - 1)
         self.low = cap - 1                  # largest exponent a field holds
         self.guard = sum(cap << s for s in self.shifts)
         rows = order.rows(n)
         radix = self.low * max((sum(map(abs, r)) for r in rows), default=0) + 1
-        self.coefs = [sum(r[i] * radix ** (len(rows) - 1 - k)
-                          for k, r in enumerate(rows)) for i in range(n)]
+        # the fused int of variable i: its key coefficient above its field
+        self.weights = [(sum(r[i] * radix ** (len(rows) - 1 - k)
+                             for k, r in enumerate(rows)) << self.width)
+                        + (1 << s) for i, s in enumerate(self.shifts)]
 
     def unpack(self, m):
-        return tuple((m >> s) & self.low for s in self.shifts)
+        low = self.low
+        return tuple([(m >> s) & low for s in self.shifts])
 
-    def key(self, m):
-        return sum(map(mul, self.coefs, self.unpack(m)))
+    def fuse(self, m):
+        """The fused int of the monomial whose exponents m holds."""
+        return sum(map(mul, self.weights, self.unpack(m)))
 
     def degree(self, m):
         return sum(self.unpack(m))
 
     def lcm(self, a, b):
+        """The lcm of two exponent ints."""
         guard = self.guard
         ge = ((a | guard) - b) & guard      # guard set where a_i >= b_i
         mask = ge - (ge >> (self.bits - 1))  # low bits of those fields
         return (a & mask) | (b & ~mask)
 
     def pack(self, p):
-        """(terms, r): the integer-primitive multiple r * p as a list of
-        (packed monomial, key, coefficient), leading term first."""
+        """`_pack(p)`, computed once per polynomial and packing: the terms
+        are a tuple, shared read-only."""
+        memo = p._packed
+        if memo is None:
+            memo = p._packed = {}
+        got = memo.get(self)
+        if got is None:
+            got = memo[self] = self._pack(p)
+        return got
+
+    def _pack(self, p):
+        """(terms, r): the integer-primitive multiple r * p as a tuple of
+        (fused monomial, coefficient), leading term first."""
         if not p.terms:
-            return [], 1
-        low, shifts, coefs = self.low, self.shifts, self.coefs
+            return (), 1
+        low, weights = self.low, self.weights
         den = lcm(*(c.denominator for c in p.terms.values()))
         ints = [c.numerator * (den // c.denominator) for c in p.terms.values()]
         content = gcd(*ints)
@@ -101,15 +121,14 @@ class _Packing:
         for e, c in zip(p.terms, ints):
             if e and max(e) > low:
                 raise _Overflow
-            terms.append((sum(x << s for x, s in zip(e, shifts)),
-                          sum(map(mul, coefs, e)), c // content))
-        terms.sort(key=itemgetter(1), reverse=True)
-        return terms, _ratio(den, content)
+            terms.append((sum(map(mul, weights, e)), c // content))
+        terms.sort(reverse=True)
+        return tuple(terms), _ratio(den, content)
 
     def unpack_poly(self, vars, terms, r=1):
         """The Polynomial r * terms."""
         unpack = self.unpack
-        return Polynomial(vars, {unpack(m): c * r for m, _, c in terms})
+        return Polynomial(vars, {unpack(f): c * r for f, c in terms})
 
 
 _packing = lru_cache(maxsize=64)(_Packing)     # shared, never mutated
@@ -137,34 +156,34 @@ def _widening(bits, run):
 
 
 def _reducer(terms, quot=None):
-    """(lead, lead key, lead coefficient, tail, quot) of a non-zero packed
+    """(lead, lead coefficient, tail, quot) of a non-zero packed
     polynomial; division collects the quotient by it into the dict `quot`,
     when there is one."""
-    m, k, c = terms[0]
-    return m, k, c, terms[1:], quot
+    f, c = terms[0]
+    return f, c, terms[1:], quot
 
 
 def _tracking(reducers):
     """The reducers, each with a fresh quotient dict."""
-    return [r[:4] + ({},) for r in reducers]
+    return [r[:3] + ({},) for r in reducers]
 
 
 def _primitive(terms):
     """(terms divided by their positive integer content, the content)."""
-    content = gcd(*(c for _, _, c in terms))
+    content = gcd(*(c for _, c in terms))
     if content == 1:
         return terms, 1
-    return [(m, k, c // content) for m, k, c in terms], content
+    return [(f, c // content) for f, c in terms], content
 
 
 def _divide(guard, terms, reducers):
     """Fraction-free division of a packed integer polynomial, given as
-    (monomial, key, coefficient) triples that may repeat a monomial and may
-    have overflowed (as sums of packed monomials), by integer reducers tried
-    in list order.  Returns (remainder, S) with
+    (monomial, coefficient) pairs that may repeat a monomial and may have
+    overflowed (as sums of packed monomials), by integer reducers tried in
+    list order.  Returns (remainder, S) with
     S * input = sum(quotient_i * reducer_i) + remainder, the remainder a
-    descending list of triples; a reducer's quotient goes into its dict, if
-    it has one.
+    descending list of pairs; a reducer's quotient goes into its dict, if it
+    has one.
 
     The working polynomial is kept as S * (true value) for a running integer
     scale S: dividing a term by a leading coefficient that does not divide it
@@ -172,29 +191,29 @@ def _divide(guard, terms, reducers):
     """
     work = {}
     heap = []
-    for m, k, c in terms:
-        if m & guard:
+    for f, c in terms:
+        if f & guard:
             raise _Overflow
-        old = work.get(m)
+        old = work.get(f)
         if old is None:
-            work[m] = c
-            heap.append((-k, m))
+            work[f] = c
+            heap.append(-f)
         elif old + c:
-            work[m] = old + c
+            work[f] = old + c
         else:
-            del work[m]
+            del work[f]
     heapq.heapify(heap)
+    heappop, heappush = heapq.heappop, heapq.heappush
     remainder = {}
-    rem_keys = []
     # every dict held at scale S: rescaled and divided together
-    scaled = [work, remainder] + [r[4] for r in reducers if r[4] is not None]
+    scaled = [work, remainder] + [r[3] for r in reducers if r[3] is not None]
     scale = 1
     rescales = 0
     # lazy max-heap over the working terms: stale entries (monomials no
     # longer present in work) are skipped on pop
     while heap:
-        nk, m = heapq.heappop(heap)
-        c = work.pop(m, None)
+        f = -heappop(heap)
+        c = work.pop(f, None)
         if c is None:
             continue
         if rescales >= 32:
@@ -208,13 +227,12 @@ def _divide(guard, terms, reducers):
                     for e in d:
                         d[e] //= g0
         for red in reducers:
-            if not (m - red[0]) & guard:
+            if not (f - red[0]) & guard:
                 break
         else:
-            remainder[m] = c
-            rem_keys.append(-nk)
+            remainder[f] = c
             continue
-        lm, lk, lc, tail, quot = red
+        lf, lc, tail, quot = red
         if lc == 1:
             q = c
         elif lc == -1:
@@ -230,23 +248,22 @@ def _divide(guard, terms, reducers):
                         d[e] *= t
                 q = c // lc
                 rescales += 1
-        qm = m - lm
-        base = nk + lk                      # minus the quotient's key
-        for e, ek, gc in tail:
-            me = qm + e
-            if me & guard:
+        qf = f - lf
+        for e, gc in tail:
+            fe = qf + e
+            if fe & guard:
                 raise _Overflow
-            old = work.get(me, 0)
+            old = work.get(fe, 0)
             s = old - q * gc
             if s:
-                work[me] = s
+                work[fe] = s
                 if not old:
-                    heapq.heappush(heap, (base - ek, me))
+                    heappush(heap, -fe)
             else:
-                del work[me]
+                del work[fe]
         if quot is not None:
-            quot[qm] = q
-    return list(zip(remainder, rem_keys, remainder.values())), scale
+            quot[qf] = q
+    return list(remainder.items()), scale
 
 
 def normal_form(f, divisors, order, track=False):
@@ -268,8 +285,8 @@ def normal_form(f, divisors, order, track=False):
         quotients = []
         if track:
             unpack = packing.unpack
-            quotients = [Polynomial(vars, {unpack(m): c * ri * inv
-                                           for m, c in red[4].items()})
+            quotients = [Polynomial(vars, {unpack(f): c * ri * inv
+                                           for f, c in red[3].items()})
                          for red, (_, ri) in zip(reducers, packed)]
         return Cofactors(packing.unpack_poly(vars, rem, inv), quotients)
 
@@ -336,8 +353,7 @@ def lead_monomials(gens, order=GREVLEX):
     def run(bits):
         packing = _packing(order, len(gens[0].vars), bits)
         reducers, _, keep = _complete(gens, packing, False)
-        keep.sort(key=lambda i: reducers[i][1])
-        return tuple(packing.unpack(reducers[i][0]) for i in keep)
+        return tuple(map(packing.unpack, sorted(reducers[i][0] for i in keep)))
 
     return _widening(_bits(gens), run)
 
@@ -347,10 +363,11 @@ def _complete(gens, packing, track):
     Groebner basis of the non-zero gens, packed primitive, with the indices
     `keep` of a minimal basis among its elements (`_minimal`)."""
     guard = packing.guard
+    exps = (1 << packing.width) - 1
     n_orig = len(gens)
     reducers = []      # one per basis element (see _reducer)
     rows = []          # cofactor rows over the input gens
-    leads = []         # leading monomial of each basis element
+    leads = []         # exponent int of each basis element's lead
     active = []        # indices new pairs may use (see _update)
     pairs = []         # heap of (lcm degree, j, i, lcm) with j < i
     dead = set()       # still queued (j, i) that a later update dropped
@@ -361,7 +378,7 @@ def _complete(gens, packing, track):
         reducers.append(_reducer(terms))
         if track:
             rows.append([{0: r} if t == k else {} for t in range(n_orig)])
-        leads.append(terms[0][0])
+        leads.append(terms[0][0] & exps)
         active = _update(packing, leads, active, pairs, dead)
     n_in = len(leads)
 
@@ -370,16 +387,15 @@ def _complete(gens, packing, track):
         if (j, i) in dead:
             dead.remove((j, i))
             continue
-        lmi, lki, lci, taili, _ = reducers[i]
-        lmj, lkj, lcj, tailj, _ = reducers[j]
-        mk = packing.key(m)
+        lfi, lci, taili, _ = reducers[i]
+        lfj, lcj, tailj, _ = reducers[j]
+        mf = packing.fuse(m)
         # s = ci*ti*gi - cj*tj*gj cancels the two leading terms
         g0 = gcd(lci, lcj)
         ci, cj = lcj // g0, lci // g0
-        ti, tj = m - lmi, m - lmj
-        tki, tkj = mk - lki, mk - lkj
-        s = [(ti + e, tki + k, ci * c) for e, k, c in taili]
-        s += [(tj + e, tkj + k, -cj * c) for e, k, c in tailj]
+        ti, tj = mf - lfi, mf - lfj
+        s = [(ti + f, ci * c) for f, c in taili]
+        s += [(tj + f, -cj * c) for f, c in tailj]
         divisors = _tracking(reducers) if track else reducers
         rem, scale = _divide(guard, s, divisors)
         if not rem:
@@ -389,11 +405,11 @@ def _complete(gens, packing, track):
             # content * p = scale * s - sum(q_k g_k) for the new element p;
             # push down to input gens
             parts = [({ti: scale * ci}, rows[i]), ({tj: -scale * cj}, rows[j])]
-            parts += [({e: -c for e, c in red[4].items()}, row)
-                      for red, row in zip(divisors, rows) if red[4]]
+            parts += [({e: -c for e, c in red[3].items()}, row)
+                      for red, row in zip(divisors, rows) if red[3]]
             rows.append(_row_sum(parts, n_orig, guard, content))
         reducers.append(_reducer(rem))
-        leads.append(rem[0][0])
+        leads.append(rem[0][0] & exps)
         active = _update(packing, leads, active, pairs, dead)
 
     return (reducers, rows if track else None,
@@ -406,9 +422,9 @@ def _unpack_basis(packing, order, vars, basis, rows):
     unpack = packing.unpack
     out = []
     out_rows = []
-    for (lm, lk, lc, tail, _), row in zip(basis, rows or basis):
+    for (lf, lc, tail, _), row in zip(basis, rows or basis):
         inv = _ratio(1, lc)
-        out.append(packing.unpack_poly(vars, [(lm, lk, lc)] + tail, inv))
+        out.append(packing.unpack_poly(vars, [(lf, lc), *tail], inv))
         if rows is not None:
             out_rows.append([Polynomial(vars, {unpack(e): c * inv
                                                for e, c in entry.items()})
@@ -420,12 +436,18 @@ def _unpack_basis(packing, order, vars, basis, rows):
 def _update(packing, leads, active, pairs, dead):
     """Gebauer-Moeller update for the newest element h, of lead leads[-1]
     (Becker-Weispfenning, Groebner Bases, 5.5, UPDATE); returns the new
-    active list.  Every element stays a reducer; only pairs read `active`.
+    active list.  Every element stays a reducer; only pairs read `active`,
+    and the leads are exponent ints.
 
     - Criteria M and F: of the pairs (h, g), g active, drop one whose lcm
       another remaining pair's lcm divides.  Pairs with coprime leads
       (lcm = product) are dropped only after that (product criterion):
-      they still drop others.
+      they still drop others.  Scanning the pairs in active order, the
+      last pair of an lcm drops the earlier ones; an lcm that another
+      strictly divides is dropped, by a later pair or by a kept one of a
+      minimal divisor.  So the pairs queued are the last pair of each
+      minimal lcm that no coprime pair shares.  A divisor is never a
+      larger int, so the sorted distinct lcms meet their divisors first.
     - Criterion B: a live queued pair (g1, g2) dies when lead(h) divides
       its lcm and neither lcm(g1, h) nor lcm(g2, h) equals it.  `dead`
       holds the queued pairs that died; once they outnumber the live ones
@@ -437,30 +459,39 @@ def _update(packing, leads, active, pairs, dead):
     i = len(leads) - 1
     mh = leads[i]
     for _, j, k, m in pairs:
-        if ((j, k) not in dead and not (m - mh) & guard
+        if (not (m - mh) & guard and (j, k) not in dead
                 and m != lcm_of(leads[j], mh) and m != lcm_of(leads[k], mh)):
             dead.add((j, k))
     if 2 * len(dead) > len(pairs):
         pairs[:] = [p for p in pairs if (p[1], p[2]) not in dead]
         heapq.heapify(pairs)
         dead.clear()
-    new = [lcm_of(mh, leads[j]) for j in active]
-    kept = []          # lcms of the pairs kept so far, coprime ones included
-    for n, (m, j) in enumerate(zip(new, active)):
-        if m == mh + leads[j]:
-            kept.append(m)
-            continue
-        for m2 in kept:
+    top = packing.bits - 1
+    hg = mh | guard
+    last = {}          # candidate lcm -> the last active j giving it
+    coprime = set()    # candidate lcms of some coprime pair
+    kept = []          # the active elements lead(h) does not divide
+    for j in active:
+        lj = leads[j]
+        ge = (hg - lj) & guard              # guard set where h_i >= g_i
+        mask = ge - (ge >> top)
+        m = (mh & mask) | (lj & ~mask)
+        last[m] = j
+        if m == mh + lj:
+            coprime.add(m)
+        if (lj - mh) & guard:
+            kept.append(j)
+    minimal = []
+    for m in sorted(last):
+        for m2 in minimal:
             if not (m - m2) & guard:
                 break
         else:
-            for m2 in islice(new, n + 1, None):
-                if not (m - m2) & guard:
-                    break
-            else:
-                kept.append(m)
-                heapq.heappush(pairs, (packing.degree(m), j, i, m))
-    return [j for j in active if (leads[j] - mh) & guard] + [i]
+            minimal.append(m)
+            if m not in coprime:
+                heapq.heappush(pairs, (packing.degree(m), last[m], i, m))
+    kept.append(i)
+    return kept
 
 
 def _minimal(guard, leads, active, n_in):
@@ -488,18 +519,18 @@ def _reduce(packing, reducers, keep, rows):
     minimal basis among them (`_minimal`): tail-reduced, sorted by leading
     monomial (ascending)."""
     guard = packing.guard
-    keep = sorted(keep, key=lambda i: reducers[i][1])
+    keep = sorted(keep, key=lambda i: reducers[i][0])
     # tail-reduce in ascending order of the (distinct, irreducible) leads,
     # so each remainder keeps its lead and the list stays sorted
     reduced = []
     red_rows = []
     for n, i in enumerate(keep):
         tail = keep[n + 1:]
-        lm, lk, lc, rest, _ = reducers[i]
+        lf, lc, rest, _ = reducers[i]
         divisors = reduced + [reducers[k] for k in tail]
         if rows is not None:
             divisors = _tracking(divisors)
-        rem, scale = _divide(guard, [(lm, lk, lc)] + rest, divisors)
+        rem, scale = _divide(guard, [(lf, lc), *rest], divisors)
         rem, content = _primitive(rem)
         reduced.append(_reducer(rem))
         if rows is not None:
@@ -508,8 +539,8 @@ def _reduce(packing, reducers, keep, rows):
             # its input rows
             others = red_rows + [rows[k] for k in tail]
             parts = [({0: scale}, rows[i])]
-            parts += [({e: -c for e, c in red[4].items()}, r)
-                      for red, r in zip(divisors, others) if red[4]]
+            parts += [({e: -c for e, c in red[3].items()}, r)
+                      for red, r in zip(divisors, others) if red[3]]
             red_rows.append(_row_sum(parts, len(rows[i]), guard, content))
     return reduced, red_rows if rows is not None else None
 

@@ -142,7 +142,7 @@ class Polynomial:
     term dict.  Instances are immutable by convention.
     """
 
-    __slots__ = ("vars", "terms", "_lead_cache", "_canon")
+    __slots__ = ("vars", "terms", "_lead_cache", "_canon", "_packed")
 
     def __init__(self, vars, terms):
         self.vars = tuple(vars)
@@ -153,6 +153,7 @@ class Polynomial:
         self.terms = clean
         self._lead_cache = None
         self._canon = None
+        self._packed = None     # the kernel's packed terms, per packing
 
     # -- constructors -------------------------------------------------------
 

@@ -50,6 +50,11 @@ def test_parse_basic_session():
     ("seq S = [x]", "expected ';'", 1, 12),
     ("show catalan-demo(\u00b2);", "unexpected character", 1, 19),
     ("ring P = QQ[x] / (x^\u00b2);", "unexpected character", 1, 21),
+    ("ring P = QQ[x\u00b2] / (0);", "unexpected character", 1, 14),
+    ("ring P = QQ[\u00e9, y] / (0);", "unexpected character", 1, 13),
+    ("ring P = QQ[x] / (x\u00b2);", "unexpected character", 1, 20),
+    ("ring P = QQ[x, y] / (0);\nseq S = [x, y\u0661];", "unexpected character",
+     2, 14),
     ("map phi = B -> P [ s -> x, s -> y, t -> y ];", "duplicate image for 's'",
      1, 28),
 ])
@@ -342,6 +347,19 @@ def test_cli_parse_error_exit_two():
     assert proc.returncode == 2
     assert "parse error" in proc.stderr
     assert "line 1, column 12" in proc.stderr
+
+
+@pytest.mark.parametrize("text,col", [
+    ("ring P = QQ[x] / (x\u00b2);\nshow dim(P);", 20),
+    ("ring P = QQ[\u00e9] / (0);\nshow dim(P);", 13),
+])
+def test_cli_non_ascii_name_exit_two(text, col):
+    """Names are ASCII: a superscript digit or an accented letter is a
+    parse error, not part of a name."""
+    proc = run_cli(["-"], stdin_text=text)
+    assert proc.returncode == 2
+    assert "unexpected character" in proc.stderr
+    assert f"line 1, column {col}" in proc.stderr
 
 
 def test_cli_missing_file_exit_one(tmp_path):

@@ -1,8 +1,10 @@
 """Buchberger kernel: canonicity, division certificates, membership."""
 
 import heapq
+import itertools
 import random
 from fractions import Fraction
+from operator import mul
 
 from hypothesis import given, settings, strategies as st
 
@@ -351,47 +353,128 @@ def test_pair_update_matches_the_reference_update(monkeypatch):
     assert purges >= 50
 
 
+def test_pair_update_on_equal_and_coprime_lcms(monkeypatch):
+    """Binomials whose leads are few square-free monomials give many
+    candidate pairs of one lcm.  The update queues only the last pair of a
+    minimal lcm, and none once a pair of that lcm is coprime, exactly as
+    the reference update does; both cases occur many times."""
+    real = groebner._update
+    last_of_equal = coprime_equal = 0
+
+    def checked(packing, leads, active, pairs, dead):
+        nonlocal last_of_equal, coprime_equal
+        guard, mh = packing.guard, leads[-1]
+        groups = {}
+        for j in active:
+            m = packing.lcm(mh, leads[j])
+            groups.setdefault(m, []).append(m == mh + leads[j])
+        for m, coprime in groups.items():
+            if len(coprime) > 1 and not any(
+                    m2 != m and not (m - m2) & guard for m2 in groups):
+                if any(coprime):
+                    coprime_equal += 1
+                else:
+                    last_of_equal += 1
+        ref_pairs, ref_dead = list(pairs), set(dead)
+        want = reference_update(packing, leads, list(active), ref_pairs,
+                                ref_dead)
+        got = real(packing, leads, active, pairs, dead)
+        assert got == want
+        assert _live(pairs, dead) == _live(ref_pairs, ref_dead)
+        return got
+
+    monkeypatch.setattr(groebner, "_update", checked)
+    rng = random.Random(23)
+    vars = ("x", "y", "z", "w")
+    squarefree = [e for e in itertools.product((0, 1), repeat=4)
+                  if 1 <= sum(e) <= 3]
+    for trial in range(150):
+        order = [GREVLEX, MonomialOrder.lazard()][trial % 2]
+        gens = []
+        for _ in range(rng.randint(4, 8)):
+            lead = rng.choice(squarefree)
+            low = tuple(rng.randint(0, x) for x in lead)
+            if low == lead:
+                low = (0,) * len(vars)
+            gens.append(Polynomial(vars, {lead: 1,
+                                          low: rng.choice([-2, -1, 1, 3])}))
+        buchberger(gens, order, track=trial % 3 == 0)
+    assert last_of_equal >= 100 and coprime_equal >= 75, \
+        (last_of_equal, coprime_equal)
+
+
+class NegatedRows:
+    """Weight rows of an order, negated: not a well-order, but full rank,
+    so its keys still tell monomials apart, and they are negative."""
+
+    def __init__(self, order):
+        self.order = order
+
+    def rows(self, n):
+        return tuple(tuple(-x for x in r) for r in self.order.rows(n))
+
+    def key(self, exps):
+        return tuple(sum(map(mul, r, exps)) for r in self.rows(len(exps)))
+
+
 def test_packed_keys_agree_with_order_keys():
-    """The folded int key orders monomials exactly as MonomialOrder.key and
-    tells them apart, exponents at the field limit included; packing
-    round-trips, and the packed lcm, product and divisibility test are the
-    componentwise ones."""
+    """A fused int, (key << width) + exponents, orders monomials exactly as
+    the tuple key of the weight rows and tells them apart: exponents at the
+    field limit, the negative row entries of grevlex and lazard and wholly
+    negative keys included.  Unpacking and fusing round-trip, the lcm of
+    the exponent ints and the divisibility test are the componentwise ones,
+    and the sum of two fused ints is the fused product, whose key is the
+    sum of the keys."""
     rng = random.Random(17)
-    for trial in range(400):
+    negative = 0
+    for trial in range(480):
         n = 1 + trial % 6
         perm = list(range(n))
         rng.shuffle(perm)
         order = [MonomialOrder.grevlex(perm=perm),
                  MonomialOrder.lex(perm=perm),
                  MonomialOrder.block(rng.randint(1, n), perm=perm),
-                 MonomialOrder.lazard()][trial % 4]
+                 MonomialOrder.lazard(),
+                 NegatedRows(MonomialOrder.grevlex(perm=perm)),
+                 NegatedRows(MonomialOrder.lazard())][trial % 6]
         packing = groebner._Packing(order, n, rng.choice([3, 4, 8, 13]))
-        low = packing.low
+        low, guard, width = packing.low, packing.guard, packing.width
+        exps = (1 << width) - 1
         vars = tuple(f"v{i}" for i in range(n))
+
+        def fused(e):
+            [(f, c)], r = packing.pack(Polynomial(vars, {e: 1}))
+            assert c == r == 1
+            return f
+
         monos = {tuple(rng.choice([0, 1, low - 1, low, rng.randint(0, low)])
                        for _ in range(n)) for _ in range(12)}
         packed = {}
         for e in monos:
-            [(m, k, _)], _ = packing.pack(Polynomial(vars, {e: 1}))
-            assert packing.unpack(m) == e and packing.key(m) == k
-            packed[e] = m, k
-        for a, (ma, ka) in packed.items():
-            for b, (mb, kb) in packed.items():
-                assert (ka < kb) == (order.key(a) < order.key(b)), \
+            f = fused(e)
+            assert packing.unpack(f) == e and packing.fuse(f & exps) == f
+            negative += f < 0
+            packed[e] = f
+        for a, fa in packed.items():
+            for b, fb in packed.items():
+                assert (fa < fb) == (order.key(a) < order.key(b)), \
                     (order, a, b)
-                assert (ka == kb) == (a == b), (order, a, b)
-                assert packing.unpack(packing.lcm(ma, mb)) == \
+                assert (fa == fb) == (a == b), (order, a, b)
+                assert packing.unpack(packing.lcm(fa & exps, fb & exps)) == \
                     tuple(map(max, a, b))
-                assert (not (mb - ma) & packing.guard) == \
+                assert (not (fb - fa) & guard) == \
                     all(x <= y for x, y in zip(a, b))
-                if not (ma + mb) & packing.guard:
-                    assert packing.unpack(ma + mb) == \
-                        tuple(x + y for x, y in zip(a, b))
-                    assert packing.key(ma + mb) == ka + kb
+                if not (fa + fb) & guard:
+                    ab = tuple(x + y for x, y in zip(a, b))
+                    assert fa + fb == fused(ab)
+                    assert packing.unpack(fa + fb) == ab
+                    assert (fa + fb) >> width == \
+                        (fa >> width) + (fb >> width)
+    assert negative >= 100
 
 
 def test_order_keys_match_the_reference_tuple_keys():
-    """MonomialOrder.key, read off the weight rows, and the packed int key
+    """MonomialOrder.key, read off the weight rows, and the fused int
     compare seeded random exponent pairs exactly as the reference tuple
     keys do: under lex, grevlex, lazard, and the permuted block orders that
     eliminate a random subset of the variables."""
@@ -410,15 +493,16 @@ def test_order_keys_match_the_reference_tuple_keys():
             a, b = (tuple(rng.randint(0, 4) for _ in vars) for _ in "ab")
             want = cmp(order_key(order, a), order_key(order, b))
             assert cmp(order.key(a), order.key(b)) == want, (order, a, b)
-            ma, mb = (packing.pack(Polynomial(vars, {e: 1}))[0][0][0]
+            fa, fb = (packing.pack(Polynomial(vars, {e: 1}))[0][0][0]
                       for e in (a, b))
-            assert cmp(packing.key(ma), packing.key(mb)) == want, (order, a, b)
+            assert cmp(fa, fb) == want, (order, a, b)
 
 
 def test_exponents_beyond_the_field_widen_the_run(monkeypatch):
     """Overflow never wraps silently: fields are as wide as the inputs need,
     and an S-polynomial or a product during division that does not fit
-    reruns the same computation with fields twice as wide."""
+    reruns the same computation with fields twice as wide, which packs its
+    inputs again under the wider packing."""
     V = ("x", "y")
     x, y = (Polynomial.variable(v, V) for v in V)
     gb = buchberger([x ** (2 ** 40) - y, y ** 3 - x], GREVLEX)
@@ -436,11 +520,18 @@ def test_exponents_beyond_the_field_widen_the_run(monkeypatch):
     assert widths == [8, 16]
     assert [str(g) for g in gb.generators] == \
         ["y^142 - y^14", "-y^115 + x*y^14", "-y^20 + x^4"]
+    # the inputs are packed once per width: the widened run packs them
+    # again, a second run packs nothing
+    packs = []
+    inner = groebner._Packing._pack
+    monkeypatch.setattr(groebner._Packing, "_pack", lambda self, p: (
+        packs.append(self.bits) or inner(self, p)))
     gens = [x - y ** 12, x ** 12 - 1]
-    for track in (False, True):
+    for track, repacked in ((False, [8, 8, 16, 16]), (True, [])):
         widths.clear()
+        packs.clear()
         gb = buchberger(gens, MonomialOrder.lex(), track=track)
-        assert widths == [8, 16]
+        assert widths == [8, 16] and packs == repacked
         assert [str(g) for g in gb.generators] == ["y^144 - 1", "-y^12 + x"]
     for g, row in zip(gb.generators, gb.origin_cofactors):
         assert (row[0] * gens[0] + row[1] * gens[1]).terms == g.terms
@@ -451,6 +542,41 @@ def test_exponents_beyond_the_field_widen_the_run(monkeypatch):
     assert widths == [8, 16]
     assert nf.remainder.terms == (y ** 144).terms
     assert recombine(nf, [x - y ** 12]).terms == (x ** 12).terms
+
+
+def test_exact_quotients_pack_the_divisor_once_per_packing(monkeypatch):
+    """A polynomial keeps its packed terms per packing: exact_quotients
+    packs its divisor once for a whole list of quotients, not again for a
+    later list, and once more under a wider packing.  The kept terms are a
+    tuple, handed out as they are, and equal to a fresh packing after the
+    divisions that read them."""
+    V = ("x", "y", "z")
+    x, y, z = (Polynomial.variable(v, V) for v in V)
+    g = x + 2 * y - z
+    quots = [x ** k - y * z for k in range(1, 6)]
+    polys = [g * q for q in quots]
+    packed = []
+    inner = groebner._Packing._pack
+    monkeypatch.setattr(groebner._Packing, "_pack", lambda self, p: (
+        packed.append((self.bits, p)) or inner(self, p)))
+
+    def packs_of(p):
+        return [bits for bits, q in packed if q is p]
+
+    got = groebner.exact_quotients(polys, g, GREVLEX)
+    assert [q.terms for q in got] == [q.terms for q in quots]
+    assert packs_of(g) == [8]
+    packed.clear()
+    groebner.exact_quotients(polys[:2], g, GREVLEX)
+    assert packed == []
+    got = groebner.exact_quotients([g * x ** 200, g * y], g, GREVLEX)
+    assert [q.terms for q in got] == [(x ** 200).terms, y.terms]
+    assert packs_of(g) == [10]
+    for bits in (8, 10):
+        packing = groebner._packing(GREVLEX, 3, bits)
+        terms, r = packing.pack(g)
+        assert packing.pack(g)[0] is terms
+        assert type(terms) is tuple and (terms, r) == inner(packing, g)
 
 
 def test_lead_monomials_are_the_reduced_basis_leads(monkeypatch):
