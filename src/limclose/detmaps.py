@@ -14,7 +14,7 @@ from .idealops import ideal_colon
 from .localring import (
     SequenceInR, local_member, local_contains, is_local_unit_ideal,
 )
-from .limitclosure import limit_closure, closure_target, DEFAULT_N_MAX
+from .limitclosure import local_closure, DEFAULT_N_MAX
 
 
 @dataclass
@@ -108,16 +108,12 @@ def detmap_injective(problem, n_max=DEFAULT_N_MAX):
     The kernel is ((y)^lim : det)/(x)^lim, so the map is injective iff the
     colon is locally inside (x)^lim.  A determinant that vanishes in R gives
     the zero map, injective only from the zero module, and (y)^lim is not
-    built.  Each closure is its exact target where there is one
-    (`closure_target`), else the stabilized chain's term.
+    built.  Each closure is `local_closure`'s.
     """
     ctx = problem.x.ctx
-
-    def closure(s):
-        return closure_target(s) or limit_closure(s, n_max=n_max).closure
-
-    clo_x = closure(problem.x)
+    clo_x = local_closure(problem.x, n_max)
     if local_member(problem.det, ctx.zero_ideal(), ctx):
         return is_local_unit_ideal(clo_x, ctx)
-    kernel = ideal_colon(ctx.adjoin(closure(problem.y)), problem.det)
+    kernel = ideal_colon(ctx.adjoin(local_closure(problem.y, n_max)),
+                         problem.det)
     return local_contains(kernel, clo_x, ctx)

@@ -15,8 +15,10 @@ to end of line.
 from __future__ import annotations
 
 import json as _json
+import re
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 
 from .polycore import (
     Polynomial, GREVLEX, LEX, catalan_truncated_generating_poly,
@@ -59,11 +61,11 @@ class SessionRunError(RuntimeError):
 # tokenizer
 # ---------------------------------------------------------------------------
 
-_DIGITS = "0123456789"
-# names are ASCII only: str.isalpha takes 'é', str.isalnum '²'
-_NAME_START = frozenset("_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-_NAME_CHARS = _NAME_START | frozenset(_DIGITS)
-_SYMBOLS = ("->", "(", ")", "[", "]", ",", ";", "=", "/", "^", "*", "+", "-")
+# one alternative per step: a newline, blanks, a comment, or a token.  The
+# classes are ASCII: \w takes 'é' and '²', \d takes '١'.
+_TOKEN = re.compile(r"(?P<newline>\n)|[ \t\r]+|#[^\n]*"
+                    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>[0-9]+)"
+                    r"|(?P<symbol>->|[-()\[\],;=/^*+])")
 
 
 @dataclass
@@ -76,48 +78,19 @@ class _Token:
 
 def _tokenize(text):
     toks = []
-    line, col, i = 1, 1, 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c in _NAME_START:
-            j = i
-            while j < n and text[j] in _NAME_CHARS:
-                j += 1
-            toks.append(_Token("name", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c in _DIGITS:        # ASCII only: str.isdigit takes '²'
-            j = i
-            while j < n and text[j] in _DIGITS:
-                j += 1
-            toks.append(_Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                toks.append(_Token("symbol", sym, line, col))
-                i += len(sym)
-                col += len(sym)
-                break
-        else:
-            raise SessionParseError(f"unexpected character {c!r}", line, col)
-    toks.append(_Token("eof", "", line, col))
+    line, line_start, pos = 1, 0, 0
+    while pos < len(text):
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            raise SessionParseError(f"unexpected character {text[pos]!r}",
+                                    line, pos - line_start + 1)
+        pos = m.end()
+        if m.lastgroup == "newline":
+            line, line_start = line + 1, pos
+        elif m.lastgroup:
+            toks.append(_Token(m.lastgroup, m.group(), line,
+                               m.start() - line_start + 1))
+    toks.append(_Token("eof", "", line, pos - line_start + 1))
     return toks
 
 
@@ -137,7 +110,9 @@ class Statement:
 @dataclass
 class Session:
     statements: list
-    bindings: dict = field(default_factory=dict)   # name -> evaluated value
+    # name -> (kind, value): a ring's context, a seq's or an ideal's
+    # expressions, a map's (presentation, target context)
+    bindings: dict = field(default_factory=dict)
 
 
 class _Parser:
@@ -159,30 +134,23 @@ class _Parser:
 
     def expect(self, value):
         t = self.next()
-        if t.value != value or t.kind == "eof":
+        if t.value != value:
             self.err(f"expected {value!r}, found {t.value or 'end of input'!r}", t)
         return t
 
-    def expect_name(self):
+    def expect_kind(self, kind, what):
         t = self.next()
-        if t.kind != "name":
-            self.err(f"expected a name, found {t.value or 'end of input'!r}", t)
-        return t
-
-    def expect_int(self):
-        t = self.next()
-        if t.kind != "int":
-            self.err(f"expected an integer, found {t.value or 'end of input'!r}", t)
-        return int(t.value)
+        if t.kind != kind:
+            self.err(f"expected {what}, found {t.value or 'end of input'!r}", t)
+        return t.value
 
     # -- polynomial expressions (to a small AST; variables resolve later) ----
 
     def expr(self):
         node = self.term()
         while self.peek().value in ("+", "-"):
-            op = self.next().value
-            rhs = self.term()
-            node = ("add" if op == "+" else "sub", node, rhs)
+            op = "add" if self.next().value == "+" else "sub"
+            node = (op, node, self.term())
         return node
 
     def term(self):
@@ -199,7 +167,7 @@ class _Parser:
         node = self.atom()
         if self.peek().value == "^":
             self.next()
-            node = ("pow", node, self.expect_int())
+            node = ("pow", node, int(self.expect_kind("int", "an integer")))
         return node
 
     def atom(self):
@@ -229,33 +197,34 @@ class _Parser:
     # -- statements ----------------------------------------------------------
 
     def statement(self):
-        t = self.peek()
-        if t.kind != "name":
-            self.err(f"expected a statement, found {t.value or 'end of input'!r}")
-        if t.value == "ring":
-            return self.ring_decl()
-        if t.value == "seq":
-            return self.seq_decl()
-        if t.value == "ideal":
-            return self.ideal_decl()
-        if t.value == "map":
-            return self.map_decl()
-        if t.value == "show":
-            return self.show_stmt()
-        self.err(f"unknown statement {t.value!r}", t)
+        start = self.next()
+        if start.kind != "name":
+            self.err(f"expected a statement, found {start.value!r}", start)
+        # each parser takes the keyword token: ring and show report some
+        # errors at it
+        parse = {
+            "ring": self.ring_decl,
+            "seq": partial(self.list_decl, opener="[", closer="]"),
+            "ideal": partial(self.list_decl, opener="(", closer=")"),
+            "map": self.map_decl,
+            "show": self.show_stmt,
+        }.get(start.value)
+        if parse is None:
+            self.err(f"unknown statement {start.value!r}", start)
+        name, payload = parse(start)
+        return Statement(start.value, name, payload, start.line, start.col)
 
-    def ring_decl(self):
-        start = self.expect("ring")
-        name = self.expect_name().value
+    def ring_decl(self, start):
+        name = self.expect_kind("name", "a name")
         self.expect("=")
-        fld = self.expect_name()
-        if fld.value != "QQ":
+        fld = self.peek()
+        if self.expect_kind("name", "a name") != "QQ":
             self.err(f"unknown coefficient field {fld.value!r}", fld)
         self.expect("[")
-        vars = [self.expect_name().value]
+        vars = [self.expect_kind("name", "a name")]
         while self.peek().value == ",":
             self.next()
-            vars.append(self.expect_name().value)
+            vars.append(self.expect_kind("name", "a name"))
         self.expect("]")
         self.expect("/")
         self.expect("(")
@@ -264,42 +233,29 @@ class _Parser:
         self.expect(";")
         if len(set(vars)) != len(vars):
             self.err("duplicate variable name", start)
-        return Statement("ring", name,
-                         {"vars": tuple(vars), "polys": polys},
-                         start.line, start.col)
+        return name, {"vars": tuple(vars), "polys": polys}
 
-    def seq_decl(self):
-        start = self.expect("seq")
-        name = self.expect_name().value
+    def list_decl(self, start, opener, closer):
+        """A seq or ideal declaration: its expressions between brackets."""
+        name = self.expect_kind("name", "a name")
         self.expect("=")
-        self.expect("[")
-        exprs = self.expr_list("]")
-        self.expect("]")
+        self.expect(opener)
+        exprs = self.expr_list(closer)
+        self.expect(closer)
         self.expect(";")
-        return Statement("seq", name, {"exprs": exprs}, start.line, start.col)
+        return name, {"exprs": exprs}
 
-    def ideal_decl(self):
-        start = self.expect("ideal")
-        name = self.expect_name().value
+    def map_decl(self, start):
+        name = self.expect_kind("name", "a name")
         self.expect("=")
-        self.expect("(")
-        exprs = self.expr_list(")")
-        self.expect(")")
-        self.expect(";")
-        return Statement("ideal", name, {"exprs": exprs}, start.line, start.col)
-
-    def map_decl(self):
-        start = self.expect("map")
-        name = self.expect_name().value
-        self.expect("=")
-        source = self.expect_name().value
+        source = self.expect_kind("name", "a name")
         self.expect("->")
-        target = self.expect_name().value
+        target = self.expect_kind("name", "a name")
         self.expect("[")
         images = []
         while True:
-            tok = self.expect_name()
-            if tok.value in dict(images):
+            tok = self.peek()
+            if self.expect_kind("name", "a name") in dict(images):
                 self.err(f"duplicate image for {tok.value!r}", tok)
             self.expect("->")
             images.append((tok.value, self.expr()))
@@ -310,13 +266,10 @@ class _Parser:
                 self.err("trailing comma")
         self.expect("]")
         self.expect(";")
-        return Statement("map", name,
-                         {"source": source, "target": target, "images": images},
-                         start.line, start.col)
+        return name, {"source": source, "target": target, "images": images}
 
-    def show_stmt(self):
-        start = self.expect("show")
-        cmd = self.expect_name().value
+    def show_stmt(self, start):
+        cmd = self.expect_kind("name", "a name")
         # hyphenated command names (limclose-mixed, ...) lex as name '-' name
         while self.peek().value == "-" and self.toks[self.pos + 1].kind == "name":
             self.next()
@@ -324,9 +277,7 @@ class _Parser:
         if cmd not in COMMANDS:
             self.err(f"unknown command {cmd!r}", start)
         self.expect("(")
-        args = []
-        if self.peek().value != ")":
-            args = self.expr_list(")")
+        args = self.expr_list(")") if self.peek().value != ")" else []
         self.expect(")")
         self.expect(";")
         lo, hi = _arity(COMMANDS[cmd][0])
@@ -335,12 +286,13 @@ class _Parser:
                     else f"{lo}..{hi}" if hi != lo else str(lo))
             self.err(f"command {cmd!r} takes {span} arguments, got {len(args)}",
                      start)
-        return Statement("show", cmd, {"args": args}, start.line, start.col)
+        return cmd, {"args": args}
 
 
 def parse_session(text):
     """Parse a session file; raises SessionParseError with line/column on
-    the first error.  References are checked to resolve to earlier bindings."""
+    the first error.  Each binding name is declared once; references are
+    resolved at run time."""
     p = _Parser(text)
     statements = []
     declared = set()
@@ -429,24 +381,21 @@ def _evaluate(cmd, args, session, where):
     values = []
     for i, node in enumerate(args):
         kind = kinds[min(i, len(kinds) - 1)]
-        b = session.bindings.get(node[1]) if node[0] == "var" else None
-        bound = b["kind"] if isinstance(b, dict) else None
+        name = node[1] if node[0] == "var" else None
+        bound, b = session.bindings.get(name, (None, None))
+        if kind in ("ring", "map", "seq") and bound != kind:
+            what = "sequence" if kind == "seq" else kind
+            raise SessionRunError(f"{where}: expected a {what} name")
         if kind == "ring":
-            if not isinstance(b, LocalRingContext):
-                raise SessionRunError(f"{where}: expected a ring name")
             value = ctx = b
         elif kind == "map":
-            if bound != "map":
-                raise SessionRunError(f"{where}: expected a map name")
-            value, ctx = b["map"], b["target_ring"]
+            value, ctx = b
         elif kind == "seq":
-            if bound != "seq":
-                raise SessionRunError(f"{where}: expected a sequence name")
-            value = SequenceInR(
-                [_eval_poly(e, ctx.vars, where) for e in b["exprs"]], ctx)
+            value = SequenceInR([_eval_poly(e, ctx.vars, where) for e in b],
+                                ctx)
         elif kind == "ideal":
             # a sequence or ideal name, else an inline principal generator
-            exprs = b["exprs"] if bound in ("seq", "ideal") else [node]
+            exprs = b if bound in ("seq", "ideal") else [node]
             value = Ideal(ctx.vars, [_eval_poly(e, ctx.vars, where)
                                      for e in exprs])
         elif kind == "poly":
@@ -675,15 +624,16 @@ def _evaluated_shows(session, config):
     """Evaluate the statements in order, yielding (statement, CommandResult)
     for each show as soon as it is computed."""
     for stmt in session.statements:
-        if stmt.kind == "ring":
-            session.bindings[stmt.name] = _make_ring(stmt)
-        elif stmt.kind in ("seq", "ideal"):
-            session.bindings[stmt.name] = {"kind": stmt.kind,
-                                           "exprs": stmt.payload["exprs"]}
-        elif stmt.kind == "map":
-            session.bindings[stmt.name] = _make_map(stmt, session)
-        else:
+        if stmt.kind == "show":
             yield stmt, run_command(stmt, session, config)
+            continue
+        if stmt.kind == "ring":
+            value = _make_ring(stmt)
+        elif stmt.kind == "map":
+            value = _make_map(stmt, session)
+        else:
+            value = stmt.payload["exprs"]
+        session.bindings[stmt.name] = stmt.kind, value
 
 
 def _make_ring(stmt):
@@ -697,11 +647,11 @@ def _make_ring(stmt):
 
 
 def _make_map(stmt, session):
+    """A map binding's value: its presentation and its target ring."""
     where = f"line {stmt.line}"
-    src = session.bindings.get(stmt.payload["source"])
-    tgt = session.bindings.get(stmt.payload["target"])
-    if not isinstance(src, LocalRingContext) \
-            or not isinstance(tgt, LocalRingContext):
+    src_kind, src = session.bindings.get(stmt.payload["source"], (None, None))
+    tgt_kind, tgt = session.bindings.get(stmt.payload["target"], (None, None))
+    if src_kind != "ring" or tgt_kind != "ring":
         raise SessionRunError(f"{where}: map endpoints must be declared rings")
     images = {}
     for v, e in stmt.payload["images"]:
@@ -709,9 +659,6 @@ def _make_map(stmt, session):
             raise SessionRunError(
                 f"{where}: {v!r} is not a variable of {stmt.payload['source']}")
         images[v] = _eval_poly(e, tgt.vars, where)
-    missing = [v for v in src.vars if v not in images]
-    if missing:
-        raise SessionRunError(f"{where}: no image given for {missing[0]!r}")
     try:
         rmap = RingMapPresentation(
             source_vars=src.vars, source_ideal=src.defining,
@@ -719,7 +666,7 @@ def _make_map(stmt, session):
             images=images)
     except ValueError as exc:
         raise SessionRunError(f"{where}: {exc}") from exc
-    return {"kind": "map", "map": rmap, "target_ring": tgt}
+    return rmap, tgt
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +719,6 @@ def render(result, format="text"):
 
 def main(argv=None):
     import argparse
-    import os
     import signal
 
     ap = argparse.ArgumentParser(
@@ -794,8 +740,6 @@ def main(argv=None):
     ns = ap.parse_args(argv)
     if ns.timeout_secs is not None and ns.timeout_secs < 0:
         ap.error(f"--timeout-secs must be >= 0, got {ns.timeout_secs}")
-
-    use_color = sys.stdout.isatty() and not os.environ.get("NO_COLOR")
 
     if ns.session == "-":
         text = sys.stdin.read()
@@ -823,11 +767,8 @@ def main(argv=None):
         # each result is printed as it completes, so a later failing or
         # timed-out show keeps the ones before it
         for stmt, result in _evaluated_shows(session, config):
-            header = f"# {stmt.name} (line {stmt.line})"
             if fmt == "text":
-                if use_color:
-                    header = f"\x1b[1m{header}\x1b[0m"
-                print(header)
+                print(f"# {stmt.name} (line {stmt.line})")
             print(render(result, fmt), flush=True)
     except SessionParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)

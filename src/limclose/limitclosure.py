@@ -21,9 +21,9 @@ equal exactly when their colengths are, and the one term returned is then
 built by `colon_step`.  Where the colengths are infinite the window
 compares the colon terms themselves.
 
-Readers that need the closure only locally (`structure.topology_scan`,
-`detmaps.detmap_injective`, `closure_colength`) can skip the chain on many
-rings:
+Readers that need the closure only locally (`local_closure`, which
+`structure.topology_scan` and `detmaps.detmap_injective` call, and
+`closure_colength`) can skip the chain on many rings:
 
 Theorem.  Let x be a sop of R, d = dim R >= 1, and U the largest
 submodule of R of dimension < d.  If R/U is Cohen-Macaulay, then
@@ -203,6 +203,13 @@ def closure_target(seq):
     if ctx.dim < 1 or not is_sop(base) or not cm_after_u(base):
         return None
     return ideal_sum(seq.ideal(), ctx.hull(ctx.dim))
+
+
+def local_closure(seq, n_max=DEFAULT_N_MAX):
+    """An ambient ideal locally equal to (x)^lim: the exact target where
+    `closure_target` applies, else the stabilized chain's term.  For
+    readers that need the closure only locally."""
+    return closure_target(seq) or limit_closure(seq, n_max=n_max).closure
 
 
 def limit_closure_mixed(head, head_power, tail, tail_power,

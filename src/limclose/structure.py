@@ -38,7 +38,8 @@ from .localring import (
     NotStabilized,
 )
 from .limitclosure import (
-    limit_closure, closure_colength, closure_target, cm_after_u, _stabilize,
+    limit_closure, local_closure, closure_colength, closure_target,
+    cm_after_u, _stabilize,
 )
 
 
@@ -60,7 +61,6 @@ class DimensionFiltration:
 
 @dataclass
 class HSReport:
-    ideal: Ideal
     lengths: list          # lengths of R/q^k for k = 1..K
     degree: int | None
     multiplicity: int | None
@@ -85,9 +85,6 @@ class TopologyScanReport:
 
 @dataclass
 class CyclicCoverReport:
-    closure_source: Ideal
-    closure_target: Ideal
-    contracted: Ideal
     equal: bool
     length_mod_closure: int
     length_mod_ideal: int
@@ -259,7 +256,7 @@ def hilbert_samuel(q, ctx, K=8):
     if _generated_by_a_regular_sop(q, ctx):
         ell = local_length(q, ctx)
         lengths = [ell * comb(k + d - 1, d) for k in range(1, K + 1)]
-        return HSReport(q, lengths, d, ell, 1, True)
+        return HSReport(lengths, d, ell, 1, True)
     lengths = [local_length(ideal_power(q, k), ctx) for k in range(1, K + 1)]
     diffs = list(lengths)
     for _ in range(d):
@@ -271,8 +268,8 @@ def hilbert_samuel(q, ctx, K=8):
         onset = len(diffs) - 1
         while onset > 0 and diffs[onset - 1] == e:
             onset -= 1
-        return HSReport(q, lengths, d, e, onset + 1, True)
-    return HSReport(q, lengths, d, None, None, False)
+        return HSReport(lengths, d, e, onset + 1, True)
+    return HSReport(lengths, d, None, None, False)
 
 
 def _generated_by_a_regular_sop(q, ctx):
@@ -336,8 +333,7 @@ def topology_scan(seq, n0=4, v_max=8):
 
     This compares the limit-closure topology with the m-adic one on the
     affine model (the completed statement is only shadowed here).  Each
-    closure is its exact target (x^[v]) + U where there is one
-    (`closure_target`), else the stabilized chain's term.
+    closure is `local_closure`'s.
     """
     ctx = seq.ctx
     rows = []
@@ -347,9 +343,7 @@ def topology_scan(seq, n0=4, v_max=8):
 
     def closure_at(v):
         if v not in closures:
-            powered = seq.powers(v)
-            closures[v] = closure_target(powered) \
-                or limit_closure(powered).closure
+            closures[v] = local_closure(seq.powers(v))
         return closures[v]
 
     for k in range(1, n0 + 1):
@@ -393,15 +387,11 @@ def cyclic_cover_closure_check(ring_map, seq):
     res_R = limit_closure(seq)
     res_S = limit_closure(tseq)
     contracted = contract(ring_map, tctx.adjoin(res_S.closure))
-    equal = local_equal(res_R.closure, contracted, ctx)
 
     l_clo = local_length(res_R.closure, ctx)
     l_id = local_length(seq.ideal(), ctx)
     return CyclicCoverReport(
-        closure_source=res_R.closure,
-        closure_target=res_S.closure,
-        contracted=contracted,
-        equal=equal,
+        equal=local_equal(res_R.closure, contracted, ctx),
         length_mod_closure=l_clo,
         length_mod_ideal=l_id,
         closure_excess=l_id - l_clo,

@@ -13,6 +13,10 @@ from limclose.frontend import (
     parse_session, run_session, render, main, SCHEMA_VERSION,
 )
 
+from test_bench_pins import _load_workloads
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
 
 def run_text(text, **cfg):
     session = parse_session(text)
@@ -48,6 +52,7 @@ def test_parse_basic_session():
     ("ring P = RR[x] / (0);", "unknown coefficient field", 1, 10),
     ("ring P = QQ[x, x] / (0);", "duplicate variable", 1, 1),
     ("seq S = [x]", "expected ';'", 1, 12),
+    ("seq S = [x] # done", "expected ';'", 1, 19),
     ("show catalan-demo(\u00b2);", "unexpected character", 1, 19),
     ("ring P = QQ[x] / (x^\u00b2);", "unexpected character", 1, 21),
     ("ring P = QQ[x\u00b2] / (0);", "unexpected character", 1, 14),
@@ -334,6 +339,25 @@ def test_cli_ill_defined_map_names_its_line():
     assert proc.returncode == 1
     assert "error: line 3: map not well defined: image of x^2 not in " \
         "target ideal" in proc.stderr
+
+
+def test_cli_map_with_a_missing_image_exit_one():
+    text = ("ring A = QQ[x, y] / (0);\nring B = QQ[t] / (0);\n"
+            "map f = A -> B [x -> t];")
+    proc = run_cli(["-"], stdin_text=text)
+    assert proc.returncode == 1
+    assert proc.stderr == ("error: line 3: no image for source variable "
+                           "'y'\n")
+
+
+def test_cli_renders_the_benchmark_session_byte_for_byte():
+    """The text output of the benchmark's 40-show session (seed 1), against
+    the bytes pinned in tests/golden/cli-session.txt."""
+    workloads = _load_workloads()
+    text = workloads.session_text(workloads.Presenter("cli-session", 1, 0))
+    proc = run_cli(["-"], stdin_text=text)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == GOLDEN.joinpath("cli-session.txt").read_text()
 
 
 def test_cli_finite_field_exit_two():

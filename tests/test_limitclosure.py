@@ -518,3 +518,44 @@ def test_cm_shortcut_matches_the_regular_sequence_test(
         assert limitclosure.cm_after_u(SequenceInR(sop.entries, fresh))
         assert limitclosure._regular_modulo(sop.entries, ctx.hull(ctx.dim),
                                             ctx), ctx.defining
+
+
+@pytest.fixture(scope="module")
+def stalled_chain():
+    """R = K[a, b^3, b^4, b^5, a^3 b] with the sop (p, p + q) = (a, a + b^3):
+    a 2-dimensional domain that is not Cohen-Macaulay, so there is no
+    target.  H^1_m(R) = K[a, b]/R has length 9 and a^6 is the least power
+    of a killing it, so the colength chain stalls before it reaches
+    len R/m = 1."""
+    V = tuple("pqrst")
+    p, q, r, s, t = (Polynomial.variable(n, V) for n in V)
+    ctx = LocalRingContext(V, Ideal(V, [
+        r ** 2 - q * s, q ** 2 * r - s ** 2, q ** 3 - r * s,
+        p ** 3 * s - r * t, p ** 3 * r - q * t, p ** 3 * q ** 2 - s * t,
+        p ** 9 * q - t ** 3]))
+    return SequenceInR([p, p + q], ctx)
+
+
+def test_the_stalled_chain_reaches_the_maximal_ideal_at_step_six(
+        stalled_chain):
+    seq = stalled_chain
+    ctx = seq.ctx
+    assert closure_target(seq) is None
+    assert [_colength(seq, n) for n in range(1, 9)] == [3, 3, 2, 2, 2, 1, 1, 1]
+    res = limit_closure(seq, window=6)
+    assert res.stabilization_index == 6
+    m = Ideal(ctx.vars, [Polynomial.variable(v, ctx.vars) for v in ctx.vars])
+    assert local_equal(res.closure, m, ctx)
+    assert [str(g) for g in res.closure.reduced_gens()] == \
+        ["t", "s", "r", "q", "p"]
+
+
+@pytest.mark.xfail(strict=True, reason="the default window of 2 stops at "
+                   "step 1, colength 3; the closure is m, colength 1")
+def test_the_default_closure_of_the_stalled_chain_is_the_maximal_ideal(
+        stalled_chain):
+    seq = stalled_chain
+    ctx = seq.ctx
+    m = Ideal(ctx.vars, [Polynomial.variable(v, ctx.vars) for v in ctx.vars])
+    assert local_equal(limit_closure(seq).closure, m, ctx)
+    assert closure_colength(seq) == 1
