@@ -738,14 +738,18 @@ def main(argv=None):
                     help="stop the run with exit code 3 after this many "
                          "seconds; 0 means no limit")
     ns = ap.parse_args(argv)
-    if ns.timeout_secs is not None and ns.timeout_secs < 0:
-        ap.error(f"--timeout-secs must be >= 0, got {ns.timeout_secs}")
+    limit = 2 ** 31 - 1      # signal.alarm takes a C int
+    if ns.timeout_secs is not None and not 0 <= ns.timeout_secs <= limit:
+        bound = ">= 0" if ns.timeout_secs < 0 else f"<= {limit}"
+        ap.error(f"--timeout-secs must be {bound}, got {ns.timeout_secs}")
 
+    # a byte that is not UTF-8 reads as U+FFFD: ignored in a comment, an
+    # unexpected character anywhere else
     if ns.session == "-":
-        text = sys.stdin.read()
+        text = sys.stdin.buffer.read().decode("utf-8", errors="replace")
     else:
         try:
-            with open(ns.session) as fh:
+            with open(ns.session, encoding="utf-8", errors="replace") as fh:
                 text = fh.read()
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -98,15 +98,9 @@ class _Packing:
         return (a & mask) | (b & ~mask)
 
     def pack(self, p):
-        """`_pack(p)`, computed once per polynomial and packing: the terms
+        """`_pack(p)`, kept on p per packing (`Polynomial.once`): the terms
         are a tuple, shared read-only."""
-        memo = p._packed
-        if memo is None:
-            memo = p._packed = {}
-        got = memo.get(self)
-        if got is None:
-            got = memo[self] = self._pack(p)
-        return got
+        return p.once(self, self._pack, p)
 
     def _pack(self, p):
         """(terms, r): the integer-primitive multiple r * p as a tuple of

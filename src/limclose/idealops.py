@@ -14,12 +14,8 @@ from .polycore import Polynomial, MonomialOrder, GREVLEX, VariableMismatch
 from .groebner import buchberger, exact_quotients, ideal_member
 
 
-class AmbientMismatch(ValueError):
-    pass
-
-
-class NotZeroDimensional(ValueError):
-    pass
+class NotMPrimary(ValueError):
+    """A (lead) ideal is not primary to the ideal of all variables."""
 
 
 # Retained-term budget of the process-wide cache: the terms of every cached
@@ -91,7 +87,7 @@ class Ideal:
         self.gens = [g for g in self.gens if not g.is_zero()]
         for g in self.gens:
             if g.vars != self.vars:
-                raise AmbientMismatch(f"{g.vars} vs {self.vars}")
+                raise VariableMismatch(f"{g.vars} vs {self.vars}")
 
     def groebner(self, order=GREVLEX):
         return _groebner(self.vars, self.gens, order)
@@ -108,7 +104,7 @@ class Ideal:
 
 def _check_same_ambient(I, J):
     if I.vars != J.vars:
-        raise AmbientMismatch(f"{I.vars} vs {J.vars}")
+        raise VariableMismatch(f"{I.vars} vs {J.vars}")
 
 
 def ideal_sum(I, J):
@@ -131,8 +127,8 @@ def ideal_power(I, k):
     return Ideal(I.vars, gens)
 
 
-def _fresh_tag_var(vars):
-    name = "@t"
+def _fresh_tag_var(vars, name="@t"):
+    """name, with underscores appended until it is not among vars."""
     while name in vars:
         name += "_"
     return name
@@ -163,7 +159,7 @@ def ideal_colon(I, g):
     if g.is_zero():
         raise ZeroDivisionError("colon by zero")
     if g.vars != I.vars:
-        raise AmbientMismatch(f"{g.vars} vs {I.vars}")
+        raise VariableMismatch(f"{g.vars} vs {I.vars}")
     if g.is_constant():
         return Ideal(I.vars, list(I.gens))
     c, gkey = g.canonical()
@@ -357,8 +353,12 @@ def contract(ring_map, ideal_in_target):
     """
     src = ring_map.source_vars
     tgt = ring_map.target_vars
-    clash = set(src) & set(tgt)
-    ren = {v: (f"{v}__src" if v in clash else v) for v in src}
+    # a source variable named like a target one gets a name no ring uses
+    taken = set(src) | set(tgt)
+    ren = {}
+    for v in src:
+        ren[v] = _fresh_tag_var(taken, f"{v}__src") if v in tgt else v
+        taken.add(ren[v])
     big_vars = tuple(tgt) + tuple(ren[v] for v in src)
 
     gens = [g.extend_vars(big_vars) for g in ring_map.target_ideal.gens]
@@ -368,11 +368,8 @@ def contract(ring_map, ideal_in_target):
         gens.append(sv - ring_map.images[v].extend_vars(big_vars))
     elim = eliminate(Ideal(big_vars, gens), list(tgt))
     sub_vars = tuple(ren[v] for v in src)
-    out = []
-    for g in elim.gens:
-        h = g.restrict_vars(sub_vars)
-        out.append(Polynomial(src, h.terms))
-    return Ideal(src, out)
+    return Ideal(src, [Polynomial(src, g.restrict_vars(sub_vars).terms)
+                       for g in elim.gens])
 
 
 def _lead_dim(leads, nvars):
@@ -392,8 +389,8 @@ def _supported_in(m, sset):
 def count_standard_monomials(leads, nvars):
     """The number of monomials over nvars variables that no exponent tuple
     in `leads`, minimal or not, divides, counted without listing them: 0
-    when some lead is the unit monomial; raises NotZeroDimensional unless
-    some lead is a pure power of every variable."""
+    when some lead is the unit monomial; raises NotMPrimary unless some
+    lead is a pure power of every variable."""
     powers = set()
     for m in leads:
         support = [i for i, e in enumerate(m) if e]
@@ -402,7 +399,7 @@ def count_standard_monomials(leads, nvars):
         if len(support) == 1:
             powers.add(support[0])
     if len(powers) < nvars:
-        raise NotZeroDimensional("lead ideal lacks a pure power of some variable")
+        raise NotMPrimary("the ideal is not m-primary locally")
     return _count_standard(leads) if nvars else 1
 
 

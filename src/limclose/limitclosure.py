@@ -187,10 +187,8 @@ def cm_after_u(sop):
     needed: U = 0 (`idealops.hull`), and R, which is K[x]_m or K[x]_m/(f),
     is Cohen-Macaulay."""
     ctx = sop.ctx
-    if ctx._cm_after_u is None:
-        ctx._cm_after_u = len(ctx.defining.gens) <= 1 or _regular_modulo(
-            sop.entries, ctx.hull(ctx.dim), ctx)
-    return ctx._cm_after_u
+    return ctx.once("cm_after_u", lambda: len(ctx.defining.gens) <= 1
+                    or _regular_modulo(sop.entries, ctx.hull(ctx.dim), ctx))
 
 
 def closure_target(seq):

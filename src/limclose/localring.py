@@ -22,11 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .polycore import Polynomial, MonomialOrder, mono_divides
+from .polycore import Polynomial, MonomialOrder, VariableMismatch, mono_divides
 from .groebner import lead_monomials
 from .idealops import (
     Ideal, ideal_sum, ideal_power, count_standard_monomials, hull,
-    _fresh_tag_var, _memoized, _lead_dim, NotZeroDimensional, AmbientMismatch,
+    _fresh_tag_var, _memoized, _lead_dim, NotMPrimary,
 )
 
 
@@ -37,10 +37,6 @@ class NotStabilized(RuntimeError):
     left."""
 
 
-class NotMPrimary(ValueError):
-    pass
-
-
 @dataclass
 class LocalRingContext:
     vars: tuple
@@ -49,17 +45,20 @@ class LocalRingContext:
     def __post_init__(self):
         self.vars = tuple(self.vars)
         if self.defining.vars != self.vars:
-            raise AmbientMismatch(f"{self.defining.vars} vs {self.vars}")
+            raise VariableMismatch(f"{self.defining.vars} vs {self.vars}")
         for g in self.defining.gens:
             if g.constant_term:
                 raise ValueError(
                     "defining ideal has a unit at the origin; localization is zero")
-        self._dim = None
-        self._hulls = {}         # k -> hull(J, k), once each
-        self._m_powers = {}      # k -> m^k, once each
-        self._filtration = None  # structure.filtration_levels, once
-        self._unmixed = None     # is_unmixed, once
-        self._cm_after_u = None  # limitclosure.cm_after_u: R/U is CM, once
+        self._memo = {}
+
+    def once(self, key, compute):
+        """compute(), computed once per key and kept: the one memo of the
+        answers that depend on the ring alone."""
+        memo = self._memo
+        if key not in memo:
+            memo[key] = compute()
+        return memo[key]
 
     # -- basic ring elements --------------------------------------------------
 
@@ -75,11 +74,9 @@ class LocalRingContext:
     def m_power(self, k):
         """m^k, the k-th power of the ideal of the variables, built once
         per k."""
-        if k not in self._m_powers:
-            m = Ideal(self.vars, [Polynomial.variable(v, self.vars)
-                                  for v in self.vars])
-            self._m_powers[k] = ideal_power(m, k)
-        return self._m_powers[k]
+        return self.once(("m_power", k), lambda: ideal_power(
+            Ideal(self.vars, [Polynomial.variable(v, self.vars)
+                              for v in self.vars]), k))
 
     def adjoin(self, I):
         """I + J in the ambient ring."""
@@ -87,25 +84,19 @@ class LocalRingContext:
 
     @property
     def dim(self):
-        if self._dim is None:
-            self._dim = local_dim(self.zero_ideal(), self)
-        return self._dim
+        return self.once("dim", lambda: local_dim(self.zero_ideal(), self))
 
     def hull(self, k):
         """hull(J, k): the intersection of the components of J of
         dimension >= k, computed once per k."""
-        if k not in self._hulls:
-            self._hulls[k] = hull(self.defining, k)
-        return self._hulls[k]
+        return self.once(("hull", k), lambda: hull(self.defining, k))
 
     @property
     def is_unmixed(self):
         """U = hull(J, d)/J, the largest submodule of R of dimension < d,
         is zero locally; tested once per ring."""
-        if self._unmixed is None:
-            self._unmixed = local_contains(self.hull(self.dim),
-                                           self.zero_ideal(), self)
-        return self._unmixed
+        return self.once("unmixed", lambda: local_contains(
+            self.hull(self.dim), self.zero_ideal(), self))
 
 
 @dataclass
@@ -121,7 +112,7 @@ class SequenceInR:
     def __post_init__(self):
         for e in self.entries:
             if e.vars != self.ctx.vars:
-                raise AmbientMismatch(f"{e.vars} vs {self.ctx.vars}")
+                raise VariableMismatch(f"{e.vars} vs {self.ctx.vars}")
             if e.constant_term:
                 raise ValueError(f"sequence entry {e} is a unit at the origin")
 
@@ -200,10 +191,7 @@ def local_length(I, ctx):
     m-primary."""
     if is_local_unit_ideal(I, ctx):
         return 0
-    try:
-        return count_standard_monomials(_local_leads(I, ctx), len(ctx.vars))
-    except NotZeroDimensional:
-        raise NotMPrimary("the ideal is not m-primary locally") from None
+    return count_standard_monomials(_local_leads(I, ctx), len(ctx.vars))
 
 
 def local_dim(I, ctx):

@@ -9,9 +9,10 @@ from them.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from numbers import Rational
 from operator import le, mul
 
@@ -37,6 +38,7 @@ def mono_degree(a):
     return sum(a)
 
 
+@dataclass(frozen=True, slots=True)
 class MonomialOrder:
     """Total, multiplicative well-order on exponent tuples, defined by its
     integer weight rows (`rows`): a monomial's key is the tuple of its
@@ -53,16 +55,17 @@ class MonomialOrder:
     in the comparison tuple).
     """
 
-    __slots__ = ("kind", "elim", "perm")
+    kind: str
+    elim: int = 0
+    perm: tuple | None = None
 
-    def __init__(self, kind, elim=0, perm=None):
-        if kind not in ("lex", "grevlex", "block", "lazard"):
-            raise ValueError(f"unknown order kind {kind!r}")
-        if kind == "block" and elim < 1:
+    def __post_init__(self):
+        if self.kind not in ("lex", "grevlex", "block", "lazard"):
+            raise ValueError(f"unknown order kind {self.kind!r}")
+        if self.kind == "block" and self.elim < 1:
             raise ValueError("block order needs at least one eliminated variable")
-        self.kind = kind
-        self.elim = elim
-        self.perm = tuple(perm) if perm is not None else None
+        if self.perm is not None:
+            object.__setattr__(self, "perm", tuple(self.perm))
 
     @classmethod
     def lex(cls, perm=None):
@@ -108,13 +111,6 @@ class MonomialOrder:
             rows = tuple(tuple(r[p] for p in self.perm) for r in rows)
         return rows
 
-    def __eq__(self, other):
-        return (isinstance(other, MonomialOrder)
-                and (self.kind, self.elim, self.perm) == (other.kind, other.elim, other.perm))
-
-    def __hash__(self):
-        return hash((self.kind, self.elim, self.perm))
-
     def __repr__(self):
         if self.kind == "block":
             return f"MonomialOrder.block({self.elim})"
@@ -142,7 +138,7 @@ class Polynomial:
     term dict.  Instances are immutable by convention.
     """
 
-    __slots__ = ("vars", "terms", "_lead_cache", "_canon", "_packed")
+    __slots__ = ("vars", "terms", "_canon", "_memo")
 
     def __init__(self, vars, terms):
         self.vars = tuple(vars)
@@ -151,9 +147,8 @@ class Polynomial:
             if c:
                 clean[tuple(exps)] = _normalize_coeff(c)
         self.terms = clean
-        self._lead_cache = None
         self._canon = None
-        self._packed = None     # the kernel's packed terms, per packing
+        self._memo = None       # `once`: key -> answer
 
     # -- constructors -------------------------------------------------------
 
@@ -197,16 +192,19 @@ class Polynomial:
         """(exponents, coefficient) of the leading term under `order`."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
-        cache = self._lead_cache
-        if cache is None:
-            cache = self._lead_cache = {}
-        m = cache.get(order)
-        if m is None:
-            m = cache[order] = max(self.terms, key=order.key)
+        m = max(self.terms, key=order.key)
         return m, self.terms[m]
 
-    def sorted_terms(self, order):
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
+    def once(self, key, compute, *args):
+        """compute(*args), computed once per key and kept on this
+        polynomial; the answer is shared, and no caller may mutate it."""
+        memo = self._memo
+        if memo is None:
+            memo = self._memo = {}
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = compute(*args)
+        return got
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -315,13 +313,14 @@ class Polynomial:
         """(c, key) for a non-zero polynomial: c is its integer-primitive
         multiple whose coefficient at the largest exponent tuple is positive,
         the same for all its non-zero scalar multiples, and key is the
-        frozenset of c's terms.  Computed once, and shared with c."""
+        frozenset of c's terms.  Computed once, in a slot of its own: it is
+        the hottest of the kept answers."""
         canon = self._canon
         if canon is None:
             c = self.primitive()
             if c.terms[max(c.terms)] < 0:
                 c = -c
-            canon = self._canon = c._canon = (c, frozenset(c.terms.items()))
+            canon = self._canon = (c, frozenset(c.terms.items()))
         return canon
 
     # -- structural helpers ---------------------------------------------------
@@ -376,13 +375,12 @@ class Polynomial:
     # -- rendering -------------------------------------------------------------
 
     def __str__(self):
-        return self.to_str(GREVLEX)
-
-    def to_str(self, order):
+        """The terms in descending grevlex order."""
         if not self.terms:
             return "0"
         parts = []
-        for e, c in self.sorted_terms(order):
+        for e, c in sorted(self.terms.items(), reverse=True,
+                           key=lambda t: GREVLEX.key(t[0])):
             mono = "*".join(
                 v if k == 1 else f"{v}^{k}"
                 for v, k in zip(self.vars, e) if k
@@ -425,20 +423,11 @@ def mod_monomial_power(p, names, n):
 # Catalan numbers
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _catalan_tuple(k):
-    if k == 0:
-        return (1,)
-    prev = _catalan_tuple(k - 1)
-    n = k - 1
-    return prev + (sum(prev[i] * prev[n - i] for i in range(n + 1)),)
-
-
 def catalan(k):
-    """C_0 .. C_k via the convolution recurrence."""
+    """C_0 .. C_k by the closed form C_i = binomial(2i, i)/(i + 1)."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    return list(_catalan_tuple(k))
+    return [comb(2 * i, i) // (i + 1) for i in range(k + 1)]
 
 
 def catalan_truncated_generating_poly(u, v, k, vars):

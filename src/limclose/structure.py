@@ -24,7 +24,7 @@ length each; the tables and windows remain where none applies:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import accumulate, count
 from math import comb
 
@@ -161,12 +161,17 @@ def is_good_sop(sop):
 
 def filtration_levels(ctx):
     """The levels D_0 subset ... subset D_t = R of the dimension filtration
-    and their module dimensions, strictly increasing, ending with R and d.
-    D_i, the largest submodule of dimension <= i, is hull(J, i + 1) / J;
-    zero and locally repeated levels are dropped.  No sop is involved, so
-    the levels, with the annihilators J : D_i of the proper ones that give
-    their dimensions, are computed once per ring and kept on its context."""
-    if ctx._filtration is None:
+    and their module dimensions, strictly increasing, ending with R and d."""
+    chain, dims, _ = _filtration(ctx)
+    return list(chain), list(dims)
+
+
+def _filtration(ctx):
+    """(levels, dims, annihilators J : D_i of the proper levels, which give
+    their dimensions).  D_i, the largest submodule of dimension <= i, is
+    hull(J, i + 1) / J; zero and locally repeated levels are dropped.  No
+    sop is involved, so this is computed once per ring (`ctx.once`)."""
+    def levels():
         chain, dims, anns = [], [], []
         for j in range(1, ctx.dim + 1):
             K = ctx.hull(j)
@@ -178,9 +183,8 @@ def filtration_levels(ctx):
             dims.append(local_dim(anns[-1], ctx))
         chain.append(ctx.adjoin(Ideal(ctx.vars, [ctx.one()])))  # R itself
         dims.append(ctx.dim)
-        ctx._filtration = chain, dims, anns
-    chain, dims, _ = ctx._filtration
-    return list(chain), list(dims)
+        return chain, dims, anns
+    return ctx.once("filtration", levels)
 
 
 def dimension_filtration(ctx, sop):
@@ -210,7 +214,7 @@ def dimension_filtration(ctx, sop):
     if not is_sop(sop):
         raise ValueError("sequence is not a system of parameters")
     chain, dims = filtration_levels(ctx)
-    levels = list(zip(ctx._filtration[2], dims))
+    levels = list(zip(_filtration(ctx)[2], dims))
     y = []
     for j in range(ctx.dim, 0, -1):
         ann = next((a for a, dm in reversed(levels) if dm < j), None)
@@ -339,13 +343,7 @@ def topology_scan(seq, n0=4, v_max=8):
     rows = []
     failure_k = None
     witness = None
-    closures = {}
-
-    def closure_at(v):
-        if v not in closures:
-            closures[v] = local_closure(seq.powers(v))
-        return closures[v]
-
+    closure_at = cache(lambda v: local_closure(seq.powers(v)))
     for k in range(1, n0 + 1):
         found = None
         for v in range(1, v_max + 1):

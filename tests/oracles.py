@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 
-from limclose.idealops import NotZeroDimensional
+from limclose.idealops import NotMPrimary
 from limclose.polycore import Polynomial, GREVLEX
 
 
@@ -47,7 +47,7 @@ def order_key(order, exps):
 
 def standard_monomials(I, order=GREVLEX, leads=None):
     """Monomials outside the lead-term ideal (of I's reduced basis under
-    order, or spanned by `leads`), listed; raises NotZeroDimensional unless
+    order, or spanned by `leads`), listed; raises NotMPrimary unless
     the quotient is a finite-dimensional vector space.  The reference for
     `idealops.count_standard_monomials`."""
     if leads is None:
@@ -63,7 +63,7 @@ def standard_monomials(I, order=GREVLEX, leads=None):
     if any(c is None for c in caps):
         if any(not any(m) for m in leads):
             return []  # unit ideal
-        raise NotZeroDimensional("lead ideal lacks a pure power of some variable")
+        raise NotMPrimary("lead ideal lacks a pure power of some variable")
     out = []
     mono = [0] * nvars
 

@@ -12,6 +12,8 @@ from limclose.frontend import (
     COMMANDS, Config, SessionParseError, SessionRunError,
     parse_session, run_session, render, main, SCHEMA_VERSION,
 )
+from limclose.idealops import Ideal
+from limclose.polycore import GREVLEX, LEX, Polynomial
 
 from test_bench_pins import _load_workloads
 
@@ -430,6 +432,61 @@ def test_cli_negative_timeout_exit_two():
                    stdin_text="ring P = QQ[x] / (0); show dim(P);")
     assert proc.returncode == 2
     assert "--timeout-secs must be >= 0, got -1" in proc.stderr
+
+
+@pytest.mark.parametrize("secs,code", [("2147483647", 0), ("2147483648", 2)])
+def test_cli_timeout_beyond_a_c_int_exit_two(secs, code):
+    """signal.alarm takes a C int: a larger limit is a usage error, not an
+    OverflowError."""
+    proc = run_cli(["-", "--timeout-secs", secs],
+                   stdin_text="ring P = QQ[x] / (0); show dim(P);")
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    if code:
+        assert f"--timeout-secs must be <= 2147483647, got {secs}" \
+            in proc.stderr
+    else:
+        assert proc.stdout == "# dim (line 1)\n1\n"
+
+
+@pytest.mark.parametrize("via", ["file", "stdin"])
+def test_cli_byte_that_is_not_utf8(tmp_path, via):
+    """A byte that is not UTF-8 is ignored in a comment and an unexpected
+    character anywhere else, read from a file or from stdin."""
+    texts = {b"ring P = QQ[x] / (0); # \xff\nshow dim(P);": (0, ""),
+             b"ring P = QQ[x] / (0);\nshow \xffdim(P);": (
+                 2, "line 2, column 6: unexpected character")}
+    for data, (code, err) in texts.items():
+        path = tmp_path / "s.lim"
+        path.write_bytes(data)
+        proc = subprocess.run(
+            [sys.executable, "-m", "limclose.frontend",
+             str(path) if via == "file" else "-"],
+            input=None if via == "file" else data, capture_output=True,
+            timeout=300, cwd=str(Path(__file__).resolve().parent.parent))
+        assert proc.returncode == code
+        assert err.encode() in proc.stderr
+        assert b"Traceback" not in proc.stderr
+        if not code:
+            assert proc.stdout == b"# dim (line 2)\n1\n"
+
+
+def test_cli_gb_under_lex_order():
+    """--order lex gives gb's reduced basis under lex, in text and JSON:
+    here it differs from the grevlex basis."""
+    V = ("x", "y", "z")
+    x, y, z = (Polynomial.variable(v, V) for v in V)
+    I = Ideal(V, [x ** 2 + y * z, y ** 2 - x * z])
+    want = [str(g) for g in I.groebner(LEX).generators]
+    assert want != [str(g) for g in I.groebner(GREVLEX).generators]
+    text = ("ring P = QQ[x, y, z] / (0); ideal I = (x^2 + y*z, y^2 - x*z);"
+            " show gb(P, I);")
+    proc = run_cli(["-", "--order", "lex"], stdin_text=text)
+    assert proc.returncode == 0
+    assert proc.stdout == f"# gb (line 1)\n({', '.join(want)})\n"
+    proc = run_cli(["-", "--order", "lex", "--json"], stdin_text=text)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["generators"] == want
 
 
 def test_cli_timeout_exit_three():

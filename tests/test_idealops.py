@@ -7,12 +7,12 @@ import pytest
 
 from limclose import idealops
 from limclose.groebner import buchberger, exact_quotients
-from limclose.polycore import Polynomial, GREVLEX
+from limclose.polycore import Polynomial, GREVLEX, VariableMismatch
 from limclose.idealops import (
     Ideal, ideal_sum, ideal_power, ideal_intersect,
     ideal_colon, ideal_colon_ideal, ideal_saturate, ideals_equal, hull,
     eliminate, contract, RingMapPresentation, count_standard_monomials,
-    AmbientMismatch, NotZeroDimensional, _lead_dim, _fresh_tag_var,
+    NotMPrimary, _lead_dim, _fresh_tag_var,
 )
 from limclose.localring import (
     LocalRingContext, _local_leads, local_equal, is_local_unit_ideal,
@@ -45,9 +45,9 @@ def rand_ideal(rng, ngens=2):
 
 def test_ambient_mismatch_raises():
     other = Polynomial.variable("x", ("x", "w"))
-    with pytest.raises(AmbientMismatch):
+    with pytest.raises(VariableMismatch):
         Ideal(VARS, [other])
-    with pytest.raises(AmbientMismatch):
+    with pytest.raises(VariableMismatch):
         ideal_sum(Ideal(VARS, [X]), Ideal(("x", "w"), [other]))
 
 
@@ -351,6 +351,34 @@ def test_contract_along_parametrization():
     assert ideals_equal(pre, Ideal(src, [a, b, a ** 3 - b ** 2]))
 
 
+def _plain_map(src, tgt, images):
+    """The map QQ[src] -> QQ[tgt] sending each source variable to the
+    target variable images[v]."""
+    return RingMapPresentation(
+        source_vars=src, source_ideal=Ideal(src, []),
+        target_vars=tgt, target_ideal=Ideal(tgt, []),
+        images={v: Polynomial.variable(w, tgt) for v, w in images.items()})
+
+
+def test_contract_renames_past_a_target_variable_named_like_the_rename():
+    # QQ[s] -> QQ[s, s__src], s -> s__src: the preimage of (s__src) is (s);
+    # renaming the clashing s to s__src would meet the target's s__src
+    rmap = _plain_map(("s",), ("s", "s__src"), {"s": "s__src"})
+    pre = contract(rmap, Ideal(rmap.target_vars, [
+        Polynomial.variable("s__src", rmap.target_vars)]))
+    assert ideals_equal(pre, Ideal(("s",), [Polynomial.variable("s", ("s",))]))
+
+
+def test_contract_renames_past_a_source_variable_named_like_the_rename():
+    # QQ[s, s__src] -> QQ[s], both to s: the preimage of (s) is (s, s__src);
+    # renaming the clashing s to s__src would meet the source's s__src
+    src = ("s", "s__src")
+    rmap = _plain_map(src, ("s",), {"s": "s", "s__src": "s"})
+    pre = contract(rmap, Ideal(("s",), [Polynomial.variable("s", ("s",))]))
+    assert ideals_equal(pre, Ideal(src, [Polynomial.variable(v, src)
+                                         for v in src]))
+
+
 def test_ring_map_rejects_ill_defined_images():
     src = ("a",)
     tgt = ("t",)
@@ -409,7 +437,7 @@ def test_vecspace_dim_against_row_reduction_oracle():
 
 
 def test_standard_monomials_requires_zero_dimensionality():
-    with pytest.raises(NotZeroDimensional):
+    with pytest.raises(NotMPrimary):
         standard_monomials(Ideal(VARS, [X]))
     assert standard_monomials(Ideal(VARS, [ONE])) == []
     sm = standard_monomials(Ideal(VARS, [X ** 2, Y, Z]))
@@ -430,7 +458,7 @@ def test_count_standard_monomials_matches_the_listing():
     """The sliced count agrees with the listing on seeded monomial ideals
     in 1-5 variables, given as non-minimal lists (repeats and multiples,
     shuffled): 0 when a unit lead is anywhere in the list, and
-    NotZeroDimensional, from both, when some variable has no pure power."""
+    NotMPrimary, from both, when some variable has no pure power."""
     rng = random.Random(73)
     cap = {1: 9, 2: 8, 3: 6, 4: 5, 5: 4}
     counted = raised = units = 0
@@ -453,8 +481,8 @@ def test_count_standard_monomials_matches_the_listing():
         rng.shuffle(leads)
         try:
             want = _listed(leads, n)
-        except NotZeroDimensional:
-            with pytest.raises(NotZeroDimensional):
+        except NotMPrimary:
+            with pytest.raises(NotMPrimary):
                 count_standard_monomials(leads, n)
             raised += 1
             continue
