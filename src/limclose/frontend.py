@@ -19,6 +19,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from functools import partial
+from pathlib import Path
 
 from .polycore import (
     Polynomial, GREVLEX, LEX, catalan_truncated_generating_poly,
@@ -743,17 +744,16 @@ def main(argv=None):
         bound = ">= 0" if ns.timeout_secs < 0 else f"<= {limit}"
         ap.error(f"--timeout-secs must be {bound}, got {ns.timeout_secs}")
 
-    # a byte that is not UTF-8 reads as U+FFFD: ignored in a comment, an
-    # unexpected character anywhere else
-    if ns.session == "-":
-        text = sys.stdin.buffer.read().decode("utf-8", errors="replace")
-    else:
-        try:
-            with open(ns.session, encoding="utf-8", errors="replace") as fh:
-                text = fh.read()
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+    try:
+        data = (sys.stdin.buffer.read() if ns.session == "-"
+                else Path(ns.session).read_bytes())
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    # one decoding for a file and for stdin: a byte that is not UTF-8 reads
+    # as U+FFFD (ignored in a comment, an unexpected character anywhere
+    # else), and \r\n and a lone \r each end a line
+    text = re.sub(r"\r\n?", "\n", data.decode("utf-8", errors="replace"))
 
     config = Config(order=ns.order, n_max=ns.n_max,
                     stab_window=ns.stab_window)

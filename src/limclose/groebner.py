@@ -13,11 +13,19 @@ tells monomials apart.  A polynomial is packed once per packing (the
 `Polynomial` keeps the result); a run unpacks only the reduced basis it
 returns, or with `lead_monomials` only the leads of a minimal basis, which
 it never tail-reduces; a field that would overflow restarts the run with
-wider fields.  Every basis element is kept integer-primitive, its cofactor
-row scaled alike, so division never meets a fraction.  One driver,
-`normal_form`, divides: membership, with or without a certificate, is one
-normal form by the basis, and an exact quotient one normal form by the
-divisor.
+wider fields.  Every basis element is kept integer-primitive, so division
+never meets a fraction.  One driver, `normal_form`, divides: membership,
+with or without a certificate, is one normal form by the basis, and an
+exact quotient one normal form by the divisor.
+
+Cofactors ride in the packed polynomial, as in Singular's `lift`: a
+tracked run enters generator k as a * (g_k * T + e_k), in a packing with a
+field for T and one per generator.  T's weight row is on top, so every
+T-term lies above every e-term, and an e-term is never a lead nor
+divisible: an element's e-terms hold its cofactor row, and a division's
+remainder holds minus each quotient.  Pairs, reducers and the update read
+leads only, so a tracked run takes the untracked run's steps on multiples
+of its elements; a remainder with no T-term is a syzygy, and is dropped.
 
 Determinism: the division heap pops terms by descending int, that is by
 descending order key, and divisors are tried in list order.  Each new
@@ -63,29 +71,42 @@ class _Overflow(Exception):
 
 class _Packing:
     """Monomials over n variables as ints (key << width) + exponents; the
-    exponent ints alone, the low `width` bits, serve the pair update."""
+    exponent ints alone, the variables' fields `exps`, serve the pair
+    update.  With `tags`, fields for T and for e_0, e_1, ... follow (see
+    the module docstring), weighted by a unit row each: T's on top, the
+    tags' below the order's rows."""
 
-    def __init__(self, order, n, bits):
+    def __init__(self, order, n, bits, tags=None):
         self.bits = bits
-        self.width = n * bits
-        self.shifts = range(0, self.width, bits)
+        fields = n if tags is None else n + 1 + tags
+        self.width = fields * bits
+        self.exps = (1 << n * bits) - 1
+        self.shifts = range(0, n * bits, bits)
         cap = 1 << (bits - 1)
         self.low = cap - 1                  # largest exponent a field holds
-        self.guard = sum(cap << s for s in self.shifts)
+        self.guard = sum(cap << s for s in range(0, self.width, bits))
         rows = order.rows(n)
+        if tags is not None:
+            units = [tuple(int(i == j) for j in range(fields))
+                     for i in range(n, fields)]
+            rows = (units[:1] + [r + (0,) * (1 + tags) for r in rows]
+                    + units[1:])
         radix = self.low * max((sum(map(abs, r)) for r in rows), default=0) + 1
-        # the fused int of variable i: its key coefficient above its field
+        # the fused int of field i: its key coefficient above its unit
         self.weights = [(sum(r[i] * radix ** (len(rows) - 1 - k)
                              for k, r in enumerate(rows)) << self.width)
-                        + (1 << s) for i, s in enumerate(self.shifts)]
+                        + (1 << bits * i) for i in range(fields)]
+        # the fused ints of T and of each e_k (T is 0 without tags)
+        self.t, *self.e = self.weights[n:] or [0]
 
     def unpack(self, m):
         low = self.low
         return tuple([(m >> s) & low for s in self.shifts])
 
     def fuse(self, m):
-        """The fused int of the monomial whose exponents m holds."""
-        return sum(map(mul, self.weights, self.unpack(m)))
+        """The fused int of the monomial whose exponents m holds; with
+        tags, times T."""
+        return sum(map(mul, self.weights, self.unpack(m))) + self.t
 
     def degree(self, m):
         return sum(self.unpack(m))
@@ -119,11 +140,6 @@ class _Packing:
         terms.sort(reverse=True)
         return tuple(terms), _ratio(den, content)
 
-    def unpack_poly(self, vars, terms, r=1):
-        """The Polynomial r * terms."""
-        unpack = self.unpack
-        return Polynomial(vars, {unpack(f): c * r for f, c in terms})
-
 
 _packing = lru_cache(maxsize=64)(_Packing)     # shared, never mutated
 
@@ -149,25 +165,40 @@ def _widening(bits, run):
             bits *= 2
 
 
-def _reducer(terms, quot=None):
-    """(lead, lead coefficient, tail, quot) of a non-zero packed
-    polynomial; division collects the quotient by it into the dict `quot`,
-    when there is one."""
+def _tagged(packing, g, k):
+    """The packed terms of the non-zero g; with tags, those of the
+    primitive a * (g * T + e_k), where a is the numerator of the ratio r
+    that `pack` returns with r * g."""
+    terms, r = packing.pack(g)
+    if not packing.t:
+        return terms
+    r = Fraction(r)
+    return ([(f + packing.t, c * r.denominator) for f, c in terms]
+            + [(packing.e[k], r.numerator)])
+
+
+def _split(packing, vars, terms, r):
+    """[T-part, e_0 part, e_1 part, ...] of packed terms, times r, as
+    Polynomials; without tags, [the polynomial]."""
+    parts = [{} for _ in range(1 + len(packing.e))]
+    top, low = packing.exps.bit_length(), (1 << packing.width) - 1
+    for f, c in terms:
+        # the one field above the variables' that is set: T's, or e_k's
+        parts[((f & low) >> top).bit_length() // packing.bits][
+            packing.unpack(f)] = c * r
+    return [Polynomial(vars, part) for part in parts]
+
+
+def _reducer(terms):
+    """(lead, lead coefficient, tail) of a non-zero packed polynomial."""
     f, c = terms[0]
-    return f, c, terms[1:], quot
-
-
-def _tracking(reducers):
-    """The reducers, each with a fresh quotient dict."""
-    return [r[:3] + ({},) for r in reducers]
+    return f, c, terms[1:]
 
 
 def _primitive(terms):
-    """(terms divided by their positive integer content, the content)."""
+    """The terms divided by their positive integer content."""
     content = gcd(*(c for _, c in terms))
-    if content == 1:
-        return terms, 1
-    return [(f, c // content) for f, c in terms], content
+    return terms if content == 1 else [(f, c // content) for f, c in terms]
 
 
 def _divide(guard, terms, reducers):
@@ -176,8 +207,7 @@ def _divide(guard, terms, reducers):
     overflowed (as sums of packed monomials), by integer reducers tried in
     list order.  Returns (remainder, S) with
     S * input = sum(quotient_i * reducer_i) + remainder, the remainder a
-    descending list of pairs; a reducer's quotient goes into its dict, if it
-    has one.
+    descending list of pairs.
 
     The working polynomial is kept as S * (true value) for a running integer
     scale S: dividing a term by a leading coefficient that does not divide it
@@ -199,8 +229,7 @@ def _divide(guard, terms, reducers):
     heapq.heapify(heap)
     heappop, heappush = heapq.heappop, heapq.heappush
     remainder = {}
-    # every dict held at scale S: rescaled and divided together
-    scaled = [work, remainder] + [r[3] for r in reducers if r[3] is not None]
+    scaled = (work, remainder)          # held at scale S, rescaled together
     scale = 1
     rescales = 0
     # lazy max-heap over the working terms: stale entries (monomials no
@@ -226,7 +255,7 @@ def _divide(guard, terms, reducers):
         else:
             remainder[f] = c
             continue
-        lf, lc, tail, quot = red
+        lf, lc, tail = red
         if lc == 1:
             q = c
         elif lc == -1:
@@ -255,34 +284,30 @@ def _divide(guard, terms, reducers):
                     heappush(heap, -fe)
             else:
                 del work[fe]
-        if quot is not None:
-            quot[qf] = q
     return list(remainder.items()), scale
 
 
 def normal_form(f, divisors, order, track=False):
     """Deterministic multivariate division of f by the non-zero divisor
     list, in integer arithmetic; with `track`, also the quotient of each
-    divisor.  The divisors are replaced by their integer-primitive
-    multiples p_i = r_i * g_i, which cancel the same terms, and f by r * f;
-    the quotients q_i by the p_i, collected at the division's scale S, give
-    q_i * r_i / (S * r) for g_i, and the remainder is divided by S * r."""
+    divisor.  The divisors are replaced by integer-primitive multiples,
+    tagged with `track` (`_tagged`), and f * T by r * f * T; at the
+    division's scale S, the remainder is its T-part / (S * r), and the
+    quotient of g_k is -(its e_k part) / (S * r)."""
     vars = f.vars
+    if any(g.is_zero() for g in divisors):
+        raise ValueError("division by zero")
 
     def run(bits):
-        packing = _packing(order, len(vars), bits)
-        packed = [packing.pack(g) for g in divisors]
-        reducers = [_reducer(t, {} if track else None) for t, _ in packed]
+        packing = _packing(order, len(vars), bits,
+                           len(divisors) if track else None)
+        reducers = [_reducer(_tagged(packing, g, k))
+                    for k, g in enumerate(divisors)]
         work, r = packing.pack(f)
-        rem, scale = _divide(packing.guard, work, reducers)
-        inv = _ratio(1, scale * r)
-        quotients = []
-        if track:
-            unpack = packing.unpack
-            quotients = [Polynomial(vars, {unpack(f): c * ri * inv
-                                           for f, c in red[3].items()})
-                         for red, (_, ri) in zip(reducers, packed)]
-        return Cofactors(packing.unpack_poly(vars, rem, inv), quotients)
+        rem, scale = _divide(packing.guard,
+                             [(e + packing.t, c) for e, c in work], reducers)
+        rem, *quotients = _split(packing, vars, rem, _ratio(1, scale * r))
+        return Cofactors(rem, [-q for q in quotients])
 
     return _widening(_bits([f] + list(divisors)), run)
 
@@ -299,23 +324,6 @@ def exact_quotients(polys, g, order):
     return out
 
 
-def _row_sum(parts, width, guard, content):
-    """sum(multiplier * row) / content over (multiplier, cofactor row)
-    pairs, each multiplier a packed {monomial: coefficient} dict, each row
-    `width` such dicts over the input generators."""
-    out = [{} for _ in range(width)]
-    for mult, row in parts:
-        for acc, entry in zip(out, row):
-            for e1, c1 in mult.items():
-                for e2, c2 in entry.items():
-                    e = e1 + e2
-                    if e & guard:
-                        raise _Overflow
-                    acc[e] = acc.get(e, 0) + c1 * c2
-    return [{e: _ratio(c, content) for e, c in acc.items() if c}
-            for acc in out]
-
-
 def buchberger(gens, order=GREVLEX, track=False):
     """Groebner basis of the ideal generated by `gens`.
 
@@ -326,11 +334,17 @@ def buchberger(gens, order=GREVLEX, track=False):
     if all(g.is_zero() for g in gens):
         return GroebnerBasis([], order, origin_cofactors=[] if track else None)
 
+    vars = gens[0].vars
+
     def run(bits):
-        packing = _packing(order, len(gens[0].vars), bits)
-        reducers, rows, keep = _complete(gens, packing, track)
-        return _unpack_basis(packing, order, gens[0].vars,
-                             *_reduce(packing, reducers, keep, rows))
+        packing = _packing(order, len(vars), bits,
+                           len(gens) if track else None)
+        reduced = _reduce(packing, *_complete(gens, packing))
+        # the monic forms of the reduced elements, and their rows
+        split = [_split(packing, vars, [(lf, lc), *tail], _ratio(1, lc))
+                 for lf, lc, tail in reduced]
+        return GroebnerBasis([g for g, *_ in split], order, origin_cofactors=(
+            [row for _, *row in split] if track else None))
 
     return _widening(_bits(gens), run)
 
@@ -346,21 +360,18 @@ def lead_monomials(gens, order=GREVLEX):
 
     def run(bits):
         packing = _packing(order, len(gens[0].vars), bits)
-        reducers, _, keep = _complete(gens, packing, False)
+        reducers, keep = _complete(gens, packing)
         return tuple(map(packing.unpack, sorted(reducers[i][0] for i in keep)))
 
     return _widening(_bits(gens), run)
 
 
-def _complete(gens, packing, track):
-    """The pair loop: (reducers, cofactor rows or None, keep) for a
-    Groebner basis of the non-zero gens, packed primitive, with the indices
-    `keep` of a minimal basis among its elements (`_minimal`)."""
-    guard = packing.guard
-    exps = (1 << packing.width) - 1
-    n_orig = len(gens)
+def _complete(gens, packing):
+    """The pair loop: (reducers, keep) for a Groebner basis of the non-zero
+    gens, packed primitive (`_tagged`), with the indices `keep` of a
+    minimal basis among its elements (`_minimal`)."""
+    guard, exps = packing.guard, packing.exps
     reducers = []      # one per basis element (see _reducer)
-    rows = []          # cofactor rows over the input gens
     leads = []         # exponent int of each basis element's lead
     active = []        # indices new pairs may use (see _update)
     pairs = []         # heap of (lcm degree, j, i, lcm) with j < i
@@ -368,11 +379,8 @@ def _complete(gens, packing, track):
     for k, g in enumerate(gens):
         if g.is_zero():
             continue
-        terms, r = packing.pack(g)
-        reducers.append(_reducer(terms))
-        if track:
-            rows.append([{0: r} if t == k else {} for t in range(n_orig)])
-        leads.append(terms[0][0] & exps)
+        reducers.append(_reducer(_tagged(packing, g, k)))
+        leads.append(reducers[-1][0] & exps)
         active = _update(packing, leads, active, pairs, dead)
     n_in = len(leads)
 
@@ -381,8 +389,8 @@ def _complete(gens, packing, track):
         if (j, i) in dead:
             dead.remove((j, i))
             continue
-        lfi, lci, taili, _ = reducers[i]
-        lfj, lcj, tailj, _ = reducers[j]
+        lfi, lci, taili = reducers[i]
+        lfj, lcj, tailj = reducers[j]
         mf = packing.fuse(m)
         # s = ci*ti*gi - cj*tj*gj cancels the two leading terms
         g0 = gcd(lci, lcj)
@@ -390,41 +398,15 @@ def _complete(gens, packing, track):
         ti, tj = mf - lfi, mf - lfj
         s = [(ti + f, ci * c) for f, c in taili]
         s += [(tj + f, -cj * c) for f, c in tailj]
-        divisors = _tracking(reducers) if track else reducers
-        rem, scale = _divide(guard, s, divisors)
-        if not rem:
+        rem, _ = _divide(guard, s, reducers)
+        # zero, or a syzygy: no term in T's field, the unit above exps
+        if not rem or packing.t and not rem[0][0] & (exps + 1):
             continue
-        rem, content = _primitive(rem)
-        if track:
-            # content * p = scale * s - sum(q_k g_k) for the new element p;
-            # push down to input gens
-            parts = [({ti: scale * ci}, rows[i]), ({tj: -scale * cj}, rows[j])]
-            parts += [({e: -c for e, c in red[3].items()}, row)
-                      for red, row in zip(divisors, rows) if red[3]]
-            rows.append(_row_sum(parts, n_orig, guard, content))
-        reducers.append(_reducer(rem))
+        reducers.append(_reducer(_primitive(rem)))
         leads.append(rem[0][0] & exps)
         active = _update(packing, leads, active, pairs, dead)
 
-    return (reducers, rows if track else None,
-            _minimal(guard, leads, active, n_in))
-
-
-def _unpack_basis(packing, order, vars, basis, rows):
-    """GroebnerBasis of the monic forms of packed primitive reducers, with
-    their cofactor rows (or None) divided alike."""
-    unpack = packing.unpack
-    out = []
-    out_rows = []
-    for (lf, lc, tail, _), row in zip(basis, rows or basis):
-        inv = _ratio(1, lc)
-        out.append(packing.unpack_poly(vars, [(lf, lc), *tail], inv))
-        if rows is not None:
-            out_rows.append([Polynomial(vars, {unpack(e): c * inv
-                                               for e, c in entry.items()})
-                             for entry in row])
-    return GroebnerBasis(out, order,
-                         origin_cofactors=out_rows if rows is not None else None)
+    return reducers, _minimal(guard, leads, active, n_in)
 
 
 def _update(packing, leads, active, pairs, dead):
@@ -507,36 +489,21 @@ def _minimal(guard, leads, active, n_in):
     return keep
 
 
-def _reduce(packing, reducers, keep, rows):
-    """Reduced basis, as primitive reducers with their cofactor rows (or
-    None), of packed primitive reducers, given the indices `keep` of a
-    minimal basis among them (`_minimal`): tail-reduced, sorted by leading
-    monomial (ascending)."""
+def _reduce(packing, reducers, keep):
+    """Reduced basis, as primitive reducers, of packed primitive reducers,
+    given the indices `keep` of a minimal basis among them (`_minimal`):
+    tail-reduced, sorted by leading monomial (ascending)."""
     guard = packing.guard
     keep = sorted(keep, key=lambda i: reducers[i][0])
     # tail-reduce in ascending order of the (distinct, irreducible) leads,
     # so each remainder keeps its lead and the list stays sorted
     reduced = []
-    red_rows = []
     for n, i in enumerate(keep):
-        tail = keep[n + 1:]
-        lf, lc, rest, _ = reducers[i]
-        divisors = reduced + [reducers[k] for k in tail]
-        if rows is not None:
-            divisors = _tracking(divisors)
-        rem, scale = _divide(guard, [(lf, lc), *rest], divisors)
-        rem, content = _primitive(rem)
-        reduced.append(_reducer(rem))
-        if rows is not None:
-            # content * p = scale * g - sum(q_k * others_k) for the reduced
-            # p: rows of the reduced prefix are known, the tail still has
-            # its input rows
-            others = red_rows + [rows[k] for k in tail]
-            parts = [({0: scale}, rows[i])]
-            parts += [({e: -c for e, c in red[3].items()}, r)
-                      for red, r in zip(divisors, others) if red[3]]
-            red_rows.append(_row_sum(parts, len(rows[i]), guard, content))
-    return reduced, red_rows if rows is not None else None
+        lf, lc, rest = reducers[i]
+        divisors = reduced + [reducers[k] for k in keep[n + 1:]]
+        rem, _ = _divide(guard, [(lf, lc), *rest], divisors)
+        reduced.append(_reducer(_primitive(rem)))
+    return reduced
 
 
 def ideal_member(f, gb):

@@ -362,6 +362,40 @@ def test_cli_renders_the_benchmark_session_byte_for_byte():
     assert proc.stdout == GOLDEN.joinpath("cli-session.txt").read_text()
 
 
+def test_cli_renders_the_benchmark_session_from_a_file(tmp_path):
+    """The same session, read from a file, gives the same bytes."""
+    workloads = _load_workloads()
+    path = tmp_path / "session.lim"
+    path.write_text(
+        workloads.session_text(workloads.Presenter("cli-session", 1, 0)))
+    proc = run_cli([str(path)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == GOLDEN.joinpath("cli-session.txt").read_text()
+
+
+def test_cli_reads_the_same_lines_from_a_file_and_from_stdin(tmp_path):
+    """A lone \r ends a line, as \r\n and \n do, whether the session
+    comes from a file or from stdin: stdout, stderr and the exit code
+    agree."""
+    sessions = {
+        b"ring P = QQ[x] / (0);\rshow dim(P);\rshow dim(Q);": (
+            1, b"# dim (line 2)\n1\n", b"error: line 3: "),
+        b"ring P = QQ[x] / (0);\r\nshow dim(P);\r\nshow dim(Q);": (
+            1, b"# dim (line 2)\n1\n", b"error: line 3: "),
+    }
+    for data, (code, out, err) in sessions.items():
+        path = tmp_path / "s.lim"
+        path.write_bytes(data)
+        runs = [subprocess.run(
+            [sys.executable, "-m", "limclose.frontend", arg], input=stdin,
+            capture_output=True, timeout=300,
+            cwd=str(Path(__file__).resolve().parent.parent))
+            for arg, stdin in ((str(path), None), ("-", data))]
+        got = [(p.returncode, p.stdout, p.stderr) for p in runs]
+        assert got[0] == got[1], data
+        assert got[0][:2] == (code, out) and got[0][2].startswith(err), data
+
+
 def test_cli_finite_field_exit_two():
     proc = run_cli(["-"], stdin_text="ring P = Fp(5)[x] / (0);")
     assert proc.returncode == 2

@@ -2,10 +2,13 @@
 
 import heapq
 import itertools
+import json
 import random
 from fractions import Fraction
 from operator import mul
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from limclose import groebner, idealops
@@ -102,6 +105,19 @@ def test_cofactor_identity_on_division():
     nf = normal_form(x ** 40, [g], GREVLEX, track=True)
     assert nf.remainder.terms == (y ** 40 * Fraction(3, 7) ** 40).terms
     assert recombine(nf, [g]).terms == (x ** 40).terms
+
+
+def test_a_zero_divisor_is_a_value_error():
+    """Division by a list that holds the zero polynomial raises ValueError,
+    tracked or not, and so does an exact quotient by zero."""
+    x, y = (Polynomial.variable(v, VARS) for v in "xy")
+    zero = Polynomial.zero(VARS)
+    for track in (False, True):
+        for divisors in ([zero], [x, zero], [zero, y]):
+            with pytest.raises(ValueError):
+                normal_form(x * y, divisors, GREVLEX, track=track)
+    with pytest.raises(ValueError):
+        groebner.exact_quotients([x * y], zero, GREVLEX)
 
 
 def test_membership_certificate_recombines():
@@ -510,8 +526,8 @@ def test_exponents_beyond_the_field_widen_the_run(monkeypatch):
         ["y^3 - x", "x^1099511627776 - y"]
     widths = []
     packing = groebner._packing
-    monkeypatch.setattr(groebner, "_packing", lambda order, n, bits: (
-        widths.append(bits) or packing(order, n, bits)))
+    monkeypatch.setattr(groebner, "_packing", lambda *args: (
+        widths.append(args[2]) or packing(*args)))
     # the inputs fit in 8-bit fields; an S-polynomial of the second ideal
     # does not, nor does y^144 in the first, a product during division
     widths.clear()
@@ -520,14 +536,16 @@ def test_exponents_beyond_the_field_widen_the_run(monkeypatch):
     assert widths == [8, 16]
     assert [str(g) for g in gb.generators] == \
         ["y^142 - y^14", "-y^115 + x*y^14", "-y^20 + x^4"]
-    # the inputs are packed once per width: the widened run packs them
-    # again, a second run packs nothing
+    # the inputs are packed once per packing: the widened run packs them
+    # again, and so does a tracked run, whose packing has tag fields; a
+    # second run packs nothing
     packs = []
     inner = groebner._Packing._pack
     monkeypatch.setattr(groebner._Packing, "_pack", lambda self, p: (
         packs.append(self.bits) or inner(self, p)))
     gens = [x - y ** 12, x ** 12 - 1]
-    for track, repacked in ((False, [8, 8, 16, 16]), (True, [])):
+    for track, repacked in ((False, [8, 8, 16, 16]), (True, [8, 8, 16, 16]),
+                            (True, [])):
         widths.clear()
         packs.clear()
         gb = buchberger(gens, MonomialOrder.lex(), track=track)
@@ -618,8 +636,8 @@ def test_lead_monomials_are_the_reduced_basis_leads(monkeypatch):
     x, y = (Polynomial.variable(v, V) for v in V)
     widths = []
     packing = groebner._packing
-    monkeypatch.setattr(groebner, "_packing", lambda order, n, bits: (
-        widths.append(bits) or packing(order, n, bits)))
+    monkeypatch.setattr(groebner, "_packing", lambda *args: (
+        widths.append(args[2]) or packing(*args)))
     for gens, want in (([x ** 4 - y ** 20, x ** 9 * y - y ** 14],
                         ((0, 142), (1, 14), (4, 0))),
                        ([x - y ** 12, x ** 12 - 1], ((0, 144), (1, 0)))):
@@ -668,3 +686,62 @@ def test_sboxed_random_ideal_contains_its_generators(seed):
     gb = buchberger(gens, GREVLEX)
     for g in gens:
         assert ideal_member(g, gb)[0]
+
+
+TRACKED_ROWS = Path(__file__).resolve().parent / "golden" / "tracked-rows.json"
+
+
+def _terms(p):
+    return sorted([list(e), str(c)] for e, c in p.terms.items())
+
+
+def tracked_rows():
+    """Tracked bases, their cofactor rows and tracked divisions of 40
+    seeded inputs, as JSON: under lex, grevlex, a permuted block order and
+    lazard; some inputs hold zero generators, some are the unit ideal, and
+    f is divided both by the basis and by the input generators."""
+    rng = random.Random(28)
+    out = []
+    for trial in range(40):
+        nvars = 2 + trial % 3
+        vars = ("x", "y", "z", "w")[:nvars]
+        perm = list(range(nvars))
+        rng.shuffle(perm)
+        order = [MonomialOrder.lex(), GREVLEX,
+                 MonomialOrder.block(1, perm=perm),
+                 MonomialOrder.lazard()][trial % 4]
+
+        def poly(nterms, deg):
+            terms = {}
+            for _ in range(rng.randint(1, nterms)):
+                e = tuple(rng.randint(0, deg) for _ in vars)
+                terms[e] = terms.get(e, 0) + rng.choice([-3, -1, 1, 2, 5])
+            return Polynomial(vars, terms)
+
+        gens = [poly(3, 2) for _ in range(rng.randint(2, 4))]
+        if trial % 5 == 0:
+            gens.insert(rng.randint(0, len(gens)), Polynomial.zero(vars))
+        f = poly(4, 3) * Fraction(rng.choice([1, 2]), rng.choice([1, 3]))
+        gb = buchberger(gens, order, track=True)
+        record = {"basis": [_terms(g) for g in gb.generators],
+                  "rows": [[_terms(c) for c in row]
+                           for row in gb.origin_cofactors]}
+        for name, divisors in (("by_basis", gb.generators),
+                               ("by_gens", [g for g in gens
+                                            if not g.is_zero()])):
+            nf = normal_form(f, divisors, order, track=True)
+            record[name] = {"quotients": [_terms(q) for q in nf.coefficients],
+                            "remainder": _terms(nf.remainder)}
+        out.append(record)
+    return out
+
+
+def test_tracked_rows_match_the_pinned_output():
+    """Tracked bases, rows, quotients and remainders equal, term for term,
+    those the kernel gave when it tracked cofactors on a separate row path
+    (`tests/golden/tracked-rows.json`, written by `tracked_rows()`)."""
+    want = json.loads(TRACKED_ROWS.read_text())
+    got = tracked_rows()
+    assert len(got) == len(want) == 40
+    for trial, (g, w) in enumerate(zip(got, want)):
+        assert g == w, f"trial {trial}"
