@@ -2,15 +2,19 @@
 coefficient matrix expressing one parameter sequence in terms of another,
 take its determinant exactly, and test injectivity of the multiplication map
 det(A) : R/(x)^lim -> R/(y)^lim.
+
+The matrices are r x r with r = len(x), which is dim R for a sop, so the
+determinant is a cofactor expansion: r! products of polynomials, with no
+division and no kernel call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .polycore import Polynomial, GREVLEX
-from .groebner import buchberger, exact_quotients, ideal_member
-from .idealops import ideal_colon
+from .groebner import buchberger, ideal_member
+from .idealops import ideal_colon, ideals_equal
 from .localring import (
     SequenceInR, local_member, local_contains, is_local_unit_ideal,
 )
@@ -21,18 +25,19 @@ from .limitclosure import local_closure, DEFAULT_N_MAX
 class DetMapProblem:
     """y = A.x modulo the defining ideal, with the determinant attached.
 
-    Construction verifies both the expression (each y_i - sum A_ij x_j lies
-    in the defining ideal) and the Cramer containment det(A)*(x) inside
-    (y) + J.
+    Construction verifies that x and y live in one ring (the same variables
+    and defining ideal), the expression (each y_i - sum A_ij x_j lies in the
+    defining ideal) and the Cramer containment det(A)*(x) inside (y) + J.
     """
     x: SequenceInR
     y: SequenceInR
     matrix: list           # rows of Polynomial
-    det: Polynomial = None
+    det: Polynomial = field(init=False)
 
     def __post_init__(self):
-        ctx = self.x.ctx
-        if self.y.ctx is not ctx and self.y.ctx.vars != ctx.vars:
+        ctx, other = self.x.ctx, self.y.ctx
+        if other is not ctx and (other.vars != ctx.vars or not ideals_equal(
+                other.defining, ctx.defining)):
             raise ValueError("sequences live in different rings")
         r = len(self.x)
         if len(self.y) != r or len(self.matrix) != r \
@@ -45,8 +50,7 @@ class DetMapProblem:
                 diff = diff - a * xj
             if not (diff.is_zero() or J.contains_poly(diff)):
                 raise ValueError(f"row does not express its entry: {diff}")
-        if self.det is None:
-            self.det = determinant(self.matrix, ctx.vars)
+        self.det = determinant(self.matrix, ctx.vars)
         K = ctx.adjoin(self.y.ideal())
         for xj in self.x.entries:
             p = self.det * xj
@@ -55,32 +59,17 @@ class DetMapProblem:
 
 
 def determinant(matrix, vars):
-    """Exact determinant of a square matrix of polynomials by fraction-free
-    (Bareiss) elimination: each step's entries are divided exactly by the
-    previous pivot."""
-    n = len(matrix)
-    if n == 0:
+    """Exact determinant of a square matrix of polynomials by cofactor
+    expansion along the first row."""
+    if not matrix:
         return Polynomial.constant(1, vars)
-    m = [list(row) for row in matrix]
-    sign = 1
-    prev = Polynomial.constant(1, vars)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero():
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Polynomial.zero(vars)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = exact_quotients([num], prev, GREVLEX)[0]
-            m[i][k] = Polynomial.zero(vars)
-        prev = m[k][k]
-    d = m[n - 1][n - 1]
-    return d if sign == 1 else -d
+    det = Polynomial.zero(vars)
+    for j, a in enumerate(matrix[0]):
+        if not a.is_zero():
+            minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
+            term = a * determinant(minor, vars)
+            det = det - term if j % 2 else det + term
+    return det
 
 
 def express_in_terms(y, x):

@@ -35,7 +35,7 @@ from .localring import (
 )
 from .limitclosure import (
     colon_step, limit_closure, limit_closure_mixed, monomial_property,
-    DEFAULT_N_MAX,
+    DEFAULT_N_MAX, DEFAULT_WINDOW,
 )
 from .structure import (
     unmixed_component, dimension_filtration, is_good_sop, ij_functions,
@@ -318,7 +318,7 @@ def parse_session(text):
 class Config:
     order: str = "grevlex"
     n_max: int = DEFAULT_N_MAX
-    stab_window: int = 2
+    stab_window: int = DEFAULT_WINDOW
 
 
 @dataclass
@@ -330,7 +330,6 @@ class CommandResult:
     stabilization_index: int | None = None
     value: object = None
     warnings: list = field(default_factory=list)
-    command: str = ""
 
 
 def _eval_poly(node, vars, where):
@@ -422,13 +421,11 @@ def run_command(stmt, session, config):
     cmd = stmt.name
     try:
         values = _evaluate(cmd, stmt.payload["args"], session, where)
-        result = COMMANDS[cmd][1](config, *values)
+        return COMMANDS[cmd][1](config, *values)
     except (SessionRunError, SessionParseError, TimeoutError):
         raise
     except Exception as exc:
         raise SessionRunError(f"{where}: {cmd}: {exc}") from exc
-    result.command = cmd
-    return result
 
 
 # -- command handlers: handler(config, *argument values) -> CommandResult ----
@@ -499,12 +496,12 @@ def _monomial_check(config, ctx, s):
 
 
 def _unmixed(config, ctx, s):
-    res = unmixed_component(ctx, s)
+    res = unmixed_component(s)
     return _ideal_result(res.component, res.intersection_depth)
 
 
 def _dimfilt(config, ctx, s):
-    filt = dimension_filtration(ctx, s)
+    filt = dimension_filtration(s)
     rows = [[str(d), ", ".join(str(g) for g in D.reduced_gens()) or "0"]
             for D, d in zip(filt.chain, filt.dims)]
     # the filtration's sop is good by construction
@@ -518,8 +515,8 @@ def _goodsop(config, ctx, s):
     return CommandResult(kind="verdict", verdict=is_sop(s) and is_good_sop(s))
 
 
-def _ij(config, ctx, s, n_max=4):
-    table = ij_functions(s, n_max=n_max)
+def _ij(config, ctx, s, *opts):
+    table = ij_functions(s, *opts)
     rows = [[str(c) for c in row] for row in table.rows]
     return CommandResult(
         kind="table",
@@ -529,8 +526,8 @@ def _ij(config, ctx, s, n_max=4):
         value=table.multiplicity)
 
 
-def _topo(config, ctx, s, n0=4, v_max=8):
-    rep = topology_scan(s, n0=n0, v_max=v_max)
+def _topo(config, ctx, s, *opts):
+    rep = topology_scan(s, *opts)
     rows = [[str(k), str(v) if v is not None else "-"] for k, v in rep.rows]
     warnings = []
     if not rep.success:
@@ -727,11 +724,12 @@ def main(argv=None):
         description="limit closures of parameter sequences in localized "
                     "affine rings")
     ap.add_argument("session", help="session file, or - for stdin")
-    ap.add_argument("--order", choices=["grevlex", "lex"], default="grevlex",
+    ap.add_argument("--order", choices=["grevlex", "lex"],
+                    default=Config.order,
                     help="monomial order of gb's output; applies to gb only")
-    ap.add_argument("--n-max", type=int, default=DEFAULT_N_MAX,
+    ap.add_argument("--n-max", type=int, default=Config.n_max,
                     help="colon-chain terms to try before giving up")
-    ap.add_argument("--stab-window", type=int, default=2,
+    ap.add_argument("--stab-window", type=int, default=Config.stab_window,
                     help="chain-stabilization window of limclose; applies "
                          "to limclose and limclose-mixed only")
     ap.add_argument("--json", action="store_true")

@@ -92,11 +92,11 @@ class Ideal:
     def groebner(self, order=GREVLEX):
         return _groebner(self.vars, self.gens, order)
 
-    def reduced_gens(self, order=GREVLEX):
-        return self.groebner(order).generators
+    def reduced_gens(self):
+        return self.groebner().generators
 
-    def contains_poly(self, f, order=GREVLEX):
-        return ideal_member(f, self.groebner(order))[0]
+    def contains_poly(self, f):
+        return ideal_member(f, self.groebner())[0]
 
     def __str__(self):
         return "(" + ", ".join(str(g) for g in self.gens) + ")"

@@ -7,8 +7,8 @@ The closure of x_1, ..., x_r is the increasing union over n of
 (head^[n], tail^[m])^lim is the closure of head^[n] in R/(tail^[m]) and
 runs through `limit_closure` like any other.
 
-Stabilization is detected by a window of consecutive equal chain terms
-(`_stabilize`, which also stops the closure intersections of `structure`);
+Stabilization is detected by a window of consecutive equal chain terms,
+`DEFAULT_WINDOW` of them unless the caller asks for more (`_stabilize`);
 Noetherianity guarantees termination but gives no bound, so the window is a
 heuristic.  `topo`, `detmap`, `monomial-check` and the closure column of
 `ij` skip the window where `closure_target` applies (below).
@@ -59,6 +59,7 @@ from .localring import (
 
 
 DEFAULT_N_MAX = 12
+DEFAULT_WINDOW = 2
 
 
 @dataclass
@@ -140,7 +141,7 @@ def _colength_window(seq, n_max, window):
                       window, "colon chain")
 
 
-def limit_closure(seq, n_max=DEFAULT_N_MAX, window=2):
+def limit_closure(seq, n_max=DEFAULT_N_MAX, window=DEFAULT_WINDOW):
     """Iterate the colon chain until `window` consecutive terms are locally
     equal; raises NotStabilized (carrying the partial chain) otherwise.
 
@@ -166,7 +167,7 @@ def closure_colength(seq, n_max=DEFAULT_N_MAX):
     target = closure_target(seq)
     if target is not None:
         return local_length(target, seq.ctx)
-    chain, stable_at = _colength_window(seq, n_max, 2)
+    chain, stable_at = _colength_window(seq, n_max, DEFAULT_WINDOW)
     return chain[stable_at - 1]
 
 
@@ -211,7 +212,7 @@ def local_closure(seq, n_max=DEFAULT_N_MAX):
 
 
 def limit_closure_mixed(head, head_power, tail, tail_power,
-                        n_max=DEFAULT_N_MAX, window=2):
+                        n_max=DEFAULT_N_MAX, window=DEFAULT_WINDOW):
     """(head^[n], tail^[m])^lim: the closure of head^[n] in R/(tail^[m]).
     Modulo tail^[m] the mixed chain is the colon chain of head^[n], so
     `limit_closure` runs over the quotient ring; its closure is an ambient

@@ -7,10 +7,9 @@ finite extensions.
 The filtration levels are exact and do not depend on a sop: D_i is
 hull(J, i + 1) / J, the intersection of the components of J of dimension
 > i by extension and contraction (`idealops.hull`), computed once per
-ring and kept on its context with the annihilators J : D_i.  A good sop
-for them is built, not searched for (`dimension_filtration`).  The
-unmixed component stays on Theorem A, the paper's route, and the hull is
-its test oracle.
+ring, and a kept level's dimension is its index.  A good sop for them is
+built, not searched for (`dimension_filtration`).  The unmixed component
+stays on Theorem A, the paper's route, and the hull is its test oracle.
 
 Lengths come in closed form wherever a theorem gives them, from one local
 length each; the tables and windows remain where none applies:
@@ -44,6 +43,7 @@ from .limitclosure import (
 
 
 DEFAULT_INTERSECT_N = 8
+DEFAULT_K = 8
 
 
 @dataclass
@@ -108,28 +108,28 @@ def _small_dimension_part(W, ctx, threshold):
         if submodule_dim(Ideal(ctx.vars, [g]), ctx) < threshold])
 
 
-def _stabilized_closure_intersection(seq, ctx, threshold):
+def _stabilized_closure_intersection(seq, threshold):
     """Theorem A: the dimension-<threshold part of the intersection of the
     closures of seq^[n], n = 1, 2, ...  The raw intersections keep shrinking
     m-adically, so `_stabilize` watches their certified parts.
 
     Returns (newest chain term, chain length)."""
     closures = (limit_closure(seq.powers(n)).closure for n in count(1))
-    parts = (_small_dimension_part(W, ctx, threshold)
+    parts = (_small_dimension_part(W, seq.ctx, threshold)
              for W in accumulate(closures, ideal_intersect))
-    chain, _ = _stabilize(parts, partial(local_equal, ctx=ctx),
+    chain, _ = _stabilize(parts, partial(local_equal, ctx=seq.ctx),
                           DEFAULT_INTERSECT_N, 2, "closure intersection")
     return chain[-1], len(chain)
 
 
-def unmixed_component(ctx, sop):
+def unmixed_component(sop):
     """Largest submodule of R of dimension < d, as an ambient ideal: the
     stabilized intersection over n of the closures of the n-th powers of
     the sop (Theorem A)."""
     if not is_sop(sop):
         raise ValueError("sequence is not a system of parameters")
-    comp, depth = _stabilized_closure_intersection(sop, ctx, ctx.dim)
-    return UnmixedComponentResult(comp, depth)
+    return UnmixedComponentResult(
+        *_stabilized_closure_intersection(sop, sop.ctx.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -161,33 +161,30 @@ def is_good_sop(sop):
 
 def filtration_levels(ctx):
     """The levels D_0 subset ... subset D_t = R of the dimension filtration
-    and their module dimensions, strictly increasing, ending with R and d."""
-    chain, dims, _ = _filtration(ctx)
-    return list(chain), list(dims)
-
-
-def _filtration(ctx):
-    """(levels, dims, annihilators J : D_i of the proper levels, which give
-    their dimensions).  D_i, the largest submodule of dimension <= i, is
-    hull(J, i + 1) / J; zero and locally repeated levels are dropped.  No
-    sop is involved, so this is computed once per ring (`ctx.once`)."""
+    and their dimensions, strictly increasing, ending with R and d, as
+    fresh lists.  D_i, the largest submodule of dimension <= i, is
+    hull(J, i + 1) / J; zero and locally repeated levels are dropped.  A
+    level kept from hull(J, j) has dimension j - 1: its associated primes
+    are those of R of dimension < j, and it differs from the previous kept
+    level (or zero), locally hull(J, j - 1)/J, only if one has dimension
+    j - 1.  No sop is involved: this runs once per ring (`ctx.once`)."""
     def levels():
-        chain, dims, anns = [], [], []
+        chain, dims = [], []
         for j in range(1, ctx.dim + 1):
             K = ctx.hull(j)
             if local_contains(K, ctx.zero_ideal(), ctx) \
                     or chain and local_equal(chain[-1], K, ctx):
                 continue
-            anns.append(ideal_colon_ideal(ctx.defining, K))
             chain.append(K)
-            dims.append(local_dim(anns[-1], ctx))
+            dims.append(j - 1)
         chain.append(ctx.adjoin(Ideal(ctx.vars, [ctx.one()])))  # R itself
         dims.append(ctx.dim)
-        return chain, dims, anns
-    return ctx.once("filtration", levels)
+        return chain, dims
+    chain, dims = ctx.once("filtration", levels)
+    return list(chain), list(dims)
 
 
-def dimension_filtration(ctx, sop):
+def dimension_filtration(sop):
     """The dimension filtration of R (`filtration_levels`) with a good sop
     y built from the sop x; y = x when x is good.
 
@@ -213,8 +210,11 @@ def dimension_filtration(ctx, sop):
     """
     if not is_sop(sop):
         raise ValueError("sequence is not a system of parameters")
+    ctx = sop.ctx
     chain, dims = filtration_levels(ctx)
-    levels = list(zip(_filtration(ctx)[2], dims))
+    # every proper level is read, at j = its dimension + 1
+    levels = [(ideal_colon_ideal(ctx.defining, D), dm)
+              for D, dm in zip(chain[:-1], dims)]
     y = []
     for j in range(ctx.dim, 0, -1):
         ann = next((a for a, dm in reversed(levels) if dm < j), None)
@@ -242,7 +242,7 @@ def _candidates(sop, j, ann):
 # Hilbert-Samuel function and multiplicity
 # ---------------------------------------------------------------------------
 
-def hilbert_samuel(q, ctx, K=8):
+def hilbert_samuel(q, ctx, K=DEFAULT_K):
     """Lengths of R/q^k for k = 1..K, with the multiplicity read off the
     stable top finite difference.  Soft-fails (stabilized=False) when the
     polynomial onset is not reached within K.
@@ -285,7 +285,7 @@ def _generated_by_a_regular_sop(q, ctx):
     return is_sop(seq) and ctx.is_unmixed and cm_after_u(seq)
 
 
-def multiplicity(seq, K=8):
+def multiplicity(seq, K=DEFAULT_K):
     """Samuel multiplicity e(x; R) of the parameter ideal generated by the
     sop x.
 
@@ -306,7 +306,7 @@ def multiplicity(seq, K=8):
     return rep.multiplicity
 
 
-def ij_functions(seq, n_max=4, K=8):
+def ij_functions(seq, n_max=4, K=DEFAULT_K):
     """Table of the two non-negative length differences:
     I(n) = len(R/(x^[n])) - n^d e  and  J(n) = n^d e - len(R/(x^[n])^lim).
 

@@ -9,7 +9,7 @@ reduced basis.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 from math import gcd, lcm
 
 from limclose.idealops import NotMPrimary
@@ -51,7 +51,7 @@ def standard_monomials(I, order=GREVLEX, leads=None):
     the quotient is a finite-dimensional vector space.  The reference for
     `idealops.count_standard_monomials`."""
     if leads is None:
-        leads = [g.lead(order)[0] for g in I.reduced_gens(order)]
+        leads = [g.lead(order)[0] for g in I.groebner(order).generators]
     nvars = len(I.vars)
     caps = [None] * nvars
     for m in leads:
@@ -83,6 +83,22 @@ def standard_monomials(I, order=GREVLEX, leads=None):
 
     rec(0)
     return out
+
+
+def leibniz_determinant(matrix, vars):
+    """Determinant of a square matrix of polynomials as the sum over all
+    permutations p of sign(p) * prod_i matrix[i][p(i)], the sign read off
+    the inversion count.  The reference for `detmaps.determinant`."""
+    n = len(matrix)
+    total = Polynomial.zero(vars)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(n) for j in range(i + 1, n))
+        term = Polynomial.constant((-1) ** inversions, vars)
+        for i, j in enumerate(perm):
+            term = term * matrix[i][j]
+        total = total + term
+    return total
 
 
 def monomials_up_to(nvars, max_deg):

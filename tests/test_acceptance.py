@@ -111,7 +111,7 @@ def test_criterion_03_truncated_generating_function_identity():
 def test_criterion_04_stabilized_intersection_on_split_ring(split_ring):
     ctx = split_ring.ctx
     x = split_ring.extras["x"]
-    res = unmixed_component(ctx, split_ring.sop)
+    res = unmixed_component(split_ring.sop)
     assert local_equal(res.component, Ideal(ctx.vars, [x]), ctx)
     # the witness x lies in every tested closure
     for n in (1, 2, 3):

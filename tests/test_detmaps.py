@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from limclose import limitclosure
+from limclose import frontend, groebner, limitclosure
 from limclose.polycore import Polynomial
 from limclose.idealops import Ideal
 from limclose.localring import LocalRingContext, SequenceInR, is_sop
@@ -14,6 +14,9 @@ from limclose.structure import topology_scan
 from limclose.detmaps import (
     DetMapProblem, determinant, express_in_terms, detmap_injective,
 )
+
+from oracles import leibniz_determinant
+from test_bench_pins import _load_workloads
 
 
 def _rand_matrix(rng, n, vars, max_deg=1):
@@ -26,21 +29,22 @@ def _rand_matrix(rng, n, vars, max_deg=1):
     return [[entry() for _ in range(n)] for _ in range(n)]
 
 
-def det_cofactor(matrix, vars):
-    """Reference determinant: cofactor expansion along the first row."""
-    n = len(matrix)
-    if n == 0:
-        return Polynomial.constant(1, vars)
-    if n == 1:
-        return matrix[0][0]
-    acc = Polynomial.zero(vars)
-    for j, a in enumerate(matrix[0]):
-        if a.is_zero():
-            continue
-        minor = [[row[k] for k in range(n) if k != j] for row in matrix[1:]]
-        term = a * det_cofactor(minor, vars)
-        acc = acc - term if j % 2 else acc + term
-    return acc
+@pytest.fixture(scope="module")
+def session_matrices():
+    """The coefficient matrices of the benchmark session's five
+    detmap(Q, SQ, .) shows (seed 1), as the shows build them."""
+    workloads = _load_workloads()
+    session = frontend.parse_session(
+        workloads.session_text(workloads.Presenter("cli-session", 1, 0)))
+    problems = []
+    real = frontend.express_in_terms
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(frontend, "express_in_terms",
+                   lambda y, x: problems.append(real(y, x)) or problems[-1])
+        frontend.run_session(session)
+    quadric = [p for p in problems if p.x.ctx.vars == tuple("xyuv")]
+    assert len(quadric) == 5
+    return [(p.matrix, p.x.ctx.vars) for p in quadric]
 
 
 def test_determinant_small_cases(plane):
@@ -59,13 +63,32 @@ def test_determinant_small_cases(plane):
     assert determinant(ident, V).constant_term == 1
 
 
-def test_bareiss_agrees_with_cofactor():
+def test_determinant_agrees_with_leibniz():
     V = ("x", "y")
     rng = random.Random(6)
-    for n in (1, 2, 3, 4, 5):
-        for _ in range(4):
+    for n in (1, 2, 3, 4, 5, 6):
+        for _ in range(4 if n < 6 else 2):
             m = _rand_matrix(rng, n, V)
-            assert determinant(m, V).terms == det_cofactor(m, V).terms
+            assert determinant(m, V).terms == leibniz_determinant(m, V).terms
+
+
+def test_session_determinants_agree_with_leibniz(session_matrices):
+    dets = [determinant(m, V) for m, V in session_matrices]
+    assert [d.terms for d in dets] == \
+        [leibniz_determinant(m, V).terms for m, V in session_matrices]
+    assert [str(d) for d in dets] == ["1", "1", "x + y", "0", "0"]
+
+
+def test_determinant_runs_no_kernel_division(monkeypatch, session_matrices):
+    def no_division(*args, **kwargs):
+        raise AssertionError("determinant ran a normal form")
+
+    V = ("x", "y")
+    rng = random.Random(8)
+    cases = [(_rand_matrix(rng, n, V), V) for n in (2, 3, 4)]
+    monkeypatch.setattr(groebner, "normal_form", no_division)
+    for m, vars in cases + session_matrices:
+        determinant(m, vars)
 
 
 def test_determinant_multiplicative_on_integers():
@@ -95,6 +118,22 @@ def test_problem_validates_expression(plane):
         DetMapProblem(X, Y, [[one, zero], [zero, one]])   # wrong expression
     with pytest.raises(ValueError):
         DetMapProblem(X, Y, [[one, one]])                 # not square
+
+
+def test_problem_rejects_sequences_from_two_rings(plane):
+    # (x, y) in Q[x,y] and in Q[x,y]/(xy): the same variables, two rings
+    x, y = plane.extras["x"], plane.extras["y"]
+    V = plane.ctx.vars
+    other = LocalRingContext(V, Ideal(V, [x * y]))
+    one, zero = plane.ctx.one(), plane.ctx.zero_poly()
+    with pytest.raises(ValueError, match="different rings"):
+        DetMapProblem(plane.sop, SequenceInR([x, y], other),
+                      [[one, zero], [zero, one]])
+    # the same ring under two contexts is one ring
+    same = LocalRingContext(V, Ideal(V, []))
+    prob = DetMapProblem(plane.sop, SequenceInR([x, y], same),
+                         [[one, zero], [zero, one]])
+    assert prob.det.constant_term == 1
 
 
 def test_express_in_terms_recovers_a_valid_matrix(plane):

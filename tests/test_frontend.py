@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from limclose import frontend, limitclosure
 from limclose.frontend import (
     COMMANDS, Config, SessionParseError, SessionRunError,
     parse_session, run_session, render, main, SCHEMA_VERSION,
@@ -165,7 +166,7 @@ def split_session_results():
 
 
 def test_every_command_dispatches(split_session_results):
-    ran = {r.command for _, r in split_session_results}
+    ran = {stmt.name for stmt, _ in split_session_results}
     assert ran == set(COMMANDS)
 
 
@@ -185,10 +186,24 @@ def test_readme_documents_every_flag():
     assert set(flag.findall(cli)) == set(flag.findall(helped.stdout))
 
 
+def test_cli_defaults_are_the_library_defaults(monkeypatch, tmp_path):
+    # the options `limclose` parses when none is given build `Config()`,
+    # whose chain length and window are the closure's own defaults
+    configs = []
+    monkeypatch.setattr(frontend, "_evaluated_shows",
+                        lambda session, config: configs.append(config) or [])
+    path = tmp_path / "empty.lim"
+    path.write_text("")
+    assert main([str(path)]) == 0
+    assert configs == [Config()]
+    assert (Config().n_max, Config().stab_window) == \
+        (limitclosure.DEFAULT_N_MAX, limitclosure.DEFAULT_WINDOW)
+
+
 def test_dispatch_values(split_session_results):
     by_line = {}
     for stmt, res in split_session_results:
-        by_line.setdefault(res.command, []).append(res)
+        by_line.setdefault(stmt.name, []).append(res)
     assert by_line["dim"][0].value == 2          # dim(A)
     assert by_line["dim"][1].value == 1          # A/(z): the lines xy = z = 0
     assert by_line["length"][0].value == 6       # Q[x,y]/(x^2, y^3)
@@ -206,7 +221,8 @@ def test_dispatch_values(split_session_results):
 
 
 def test_limclose_reports_stabilization(split_session_results):
-    full = [r for _, r in split_session_results if r.command == "limclose"]
+    full = [r for stmt, r in split_session_results
+            if stmt.name == "limclose"]
     assert full[0].stabilization_index == 1
     assert "x" in full[0].generators  # the small component enters the closure
 

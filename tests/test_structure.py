@@ -42,14 +42,14 @@ def power_loop_cap(monkeypatch):
 
 def test_unmixed_component_split_ring(split_ring):
     ctx = split_ring.ctx
-    res = unmixed_component(ctx, split_ring.sop)
+    res = unmixed_component(split_ring.sop)
     assert local_equal(res.component, split_ring.extras["U"], ctx)
     assert res.intersection_depth >= 2
 
 
 def test_unmixed_component_domain_is_zero(plane, catalan_ring):
     for fix in (plane, catalan_ring):
-        res = unmixed_component(fix.ctx, fix.sop)
+        res = unmixed_component(fix.sop)
         assert local_contains(res.component, fix.ctx.zero_ideal(), fix.ctx)
 
 
@@ -62,7 +62,7 @@ def test_unmixed_component_embedded_point():
     y = Polynomial.variable("y", V)
     ctx = LocalRingContext(V, Ideal(V, [x ** 2, x * y]))
     sop = SequenceInR([y], ctx)
-    res = unmixed_component(ctx, sop)
+    res = unmixed_component(sop)
     assert local_equal(res.component, Ideal(V, [x]), ctx)
 
 
@@ -75,7 +75,7 @@ def test_unmixed_ring_with_two_equal_dimension_branches():
     y = Polynomial.variable("y", V)
     ctx = LocalRingContext(V, Ideal(V, [x * y ** 2]))
     sop = SequenceInR([x + y], ctx)
-    res = unmixed_component(ctx, sop)
+    res = unmixed_component(sop)
     assert local_contains(res.component, ctx.zero_ideal(), ctx)
 
 
@@ -95,7 +95,7 @@ def test_unmixed_component_is_the_top_dimensional_hull(
         ctx = LocalRingContext(V, Ideal(V, relations))
         cases.append((ctx, SequenceInR(sop, ctx)))
     for ctx, sop in cases:
-        U = unmixed_component(ctx, sop).component
+        U = unmixed_component(sop).component
         assert local_equal(U, hull(ctx.defining, ctx.dim), ctx), ctx.defining
 
 
@@ -104,7 +104,7 @@ def test_unmixed_component_cap_raises_with_partial_chain(split_ring,
     # one closure intersection cannot show two equal terms
     monkeypatch.setattr(structure, "DEFAULT_INTERSECT_N", 1)
     with pytest.raises(NotStabilized) as exc:
-        unmixed_component(split_ring.ctx, split_ring.sop)
+        unmixed_component(split_ring.sop)
     assert len(exc.value.partial_chain) == 1
 
 
@@ -112,7 +112,7 @@ def test_unmixed_component_requires_sop(split_ring):
     ctx = split_ring.ctx
     x = split_ring.extras["x"]
     with pytest.raises(ValueError):
-        unmixed_component(ctx, SequenceInR([x], ctx))
+        unmixed_component(SequenceInR([x], ctx))
 
 
 # -- dimension filtration ----------------------------------------------------
@@ -127,7 +127,7 @@ def test_submodule_dim(split_ring):
 
 def test_filtration_split_ring(split_ring):
     ctx = split_ring.ctx
-    filt = dimension_filtration(ctx, split_ring.sop)
+    filt = dimension_filtration(split_ring.sop)
     assert filt.dims == [1, 2]
     assert local_equal(filt.chain[0], split_ring.extras["U"], ctx)
     # the returned sop is good for the ring's filtration
@@ -136,7 +136,7 @@ def test_filtration_split_ring(split_ring):
 
 def test_filtration_reorders_an_ungood_sop(split_ring):
     # (y, x+z) fails goodness as given; the verified sop is a permutation
-    filt = dimension_filtration(split_ring.ctx, split_ring.sop)
+    filt = dimension_filtration(split_ring.sop)
     assert is_good_sop(filt.sop)
     got = [str(e) for e in filt.sop.entries]
     assert got == ["x + z", "y"]
@@ -144,14 +144,14 @@ def test_filtration_reorders_an_ungood_sop(split_ring):
 
 def test_goodness_is_order_sensitive(split_ring):
     ctx = split_ring.ctx
-    filt = dimension_filtration(ctx, split_ring.sop)
+    filt = dimension_filtration(split_ring.sop)
     bad = SequenceInR(list(reversed(filt.sop.entries)), ctx)
     assert not is_good_sop(bad)
 
 
 def test_filtration_three_levels(three_level_ring):
     ctx = three_level_ring.ctx
-    filt = dimension_filtration(ctx, three_level_ring.sop)
+    filt = dimension_filtration(three_level_ring.sop)
     assert filt.dims == [0, 1, 2]
     assert is_good_sop(filt.sop)
     # strictly increasing chain
@@ -172,8 +172,7 @@ def test_filtration_does_not_depend_on_the_sop(split_ring, three_level_ring):
     for ctx, given, good in cases:
         a, b = given.entries
         perturbed = SequenceInR([a + 2 * b, b ** 2], ctx)
-        chains = [dimension_filtration(ctx, s) for s in (given, good,
-                                                         perturbed)]
+        chains = [dimension_filtration(s) for s in (given, good, perturbed)]
         first = chains[0]
         assert is_good_sop(good)
         for filt in chains[1:]:
@@ -185,7 +184,7 @@ def test_filtration_does_not_depend_on_the_sop(split_ring, three_level_ring):
         for D, dim in zip(first.chain[:-1], first.dims[:-1]):
             j = dim + 1
             prefix = SequenceInR(good.entries[:j], ctx)
-            K, _ = _stabilized_closure_intersection(prefix, ctx, j)
+            K, _ = _stabilized_closure_intersection(prefix, j)
             assert local_equal(D, K, ctx), (ctx.defining, j)
 
 
@@ -201,15 +200,36 @@ def test_filtration_levels_are_computed_once_per_ring(monkeypatch,
     first = structure.filtration_levels(ctx)
     assert hulls == [1, 2]
     good = SequenceInR(split_ring.extras["good_sop"].entries, ctx)
-    filt = dimension_filtration(ctx, good)
+    filt = dimension_filtration(good)
     assert structure.filtration_levels(ctx) == first
     assert hulls == [1, 2]
     assert filt.dims == first[1] == [1, 2]
     assert local_equal(filt.chain[0], split_ring.extras["U"], ctx)
 
 
+def test_level_dimensions_match_their_annihilators(
+        plane, space, split_ring, catalan_ring, glued_ring, three_level_ring,
+        two_planes, veronese_pair, small_cm_rings):
+    # a level kept from hull(J, j) is given dimension j - 1 by its index;
+    # dim R/(J : D) says the same on every fixture ring, and on the
+    # embedded-point ring Q[x,y]/(x^2, xy)
+    V = ("x", "y")
+    a, b = (Polynomial.variable(n, V) for n in V)
+    ctxs = [fix.ctx for fix in (plane, space, split_ring, catalan_ring,
+                                glued_ring, three_level_ring)]
+    ctxs += [two_planes[0], veronese_pair.ctx, veronese_pair.extras["ctxS"]]
+    ctxs += [fix.ctx for fix in small_cm_rings.values()]
+    ctxs.append(LocalRingContext(V, Ideal(V, [a ** 2, a * b])))
+    levels = 0
+    for ctx in ctxs:
+        chain, dims = structure.filtration_levels(ctx)
+        assert dims == [submodule_dim(D, ctx) for D in chain], ctx.defining
+        levels += len(chain)
+    assert levels == 18
+
+
 def test_filtration_of_domain_is_trivial(plane):
-    filt = dimension_filtration(plane.ctx, plane.sop)
+    filt = dimension_filtration(plane.sop)
     assert filt.dims == [2]
     assert len(filt.chain) == 1
     assert is_good_sop(filt.sop)
@@ -233,12 +253,12 @@ def test_constructed_sops_are_good(split_ring, three_level_ring):
             if any(e.is_zero() for e in entries) or not is_sop(sop):
                 continue
             built += 1
-            filt = dimension_filtration(ctx, sop)
+            filt = dimension_filtration(sop)
             assert is_sop(filt.sop) and is_good_sop(filt.sop), entries
             assert [filt.chain, filt.dims] == levels
     # a 0-dimensional ring: one level, R itself, and the empty sop
     art = LocalRingContext(V, Ideal(V, [x ** 2, y ** 2, z]))
-    filt = dimension_filtration(art, SequenceInR([], art))
+    filt = dimension_filtration(SequenceInR([], art))
     assert filt.dims == [0] and filt.sop.entries == []
     assert is_sop(filt.sop) and is_good_sop(filt.sop)
 
